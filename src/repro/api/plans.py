@@ -263,12 +263,12 @@ class _CrossRunPlanBase(QueryPlan):
 
     The per-specification fall-through kernel (the expensive, ``nG²``-ish
     part of a skeleton kernel) is compiled **once** via the store's
-    per-spec cache; each run then contributes only a streamed
-    :class:`~repro.storage.store.RunLabelArrays` fetch plus one vectorized
-    kernel evaluation.  The :class:`~repro.engine.parallel.CrossRunExecutor`
-    prefetches runs in chunks (one ordered SQL scan each) and fans the
-    independent per-run payloads across a worker pool, falling back to the
-    sequential PR 3 streaming path for small run counts.
+    per-spec cache; each run then contributes only its
+    :class:`~repro.storage.store.RunLabelArrays` plus one vectorized
+    kernel evaluation.  By default the
+    :class:`~repro.engine.parallel.CrossRunExecutor` runs in-process over
+    the store's resident label-column cache; an explicit ``workers``
+    count (or an attached replica fan, below) fans chunks over a pool.
     """
 
     def __init__(self, target: Any, query: Any) -> None:
@@ -287,9 +287,8 @@ class _CrossRunPlanBase(QueryPlan):
         if workers is None:
             # replica awareness: a spec whose shard carries attached read
             # replicas can serve one worker connection per file, so the
-            # fan width floors the auto worker count — the auto sizing
-            # would otherwise stay sequential on small hosts and leave
-            # the replica set idle
+            # fan width floors the auto worker count — auto would
+            # otherwise stay in-process and leave the replica set idle
             fan_of = getattr(target.store, "read_fan_of", None)
             if fan_of is not None:
                 fan = fan_of(query.specification)

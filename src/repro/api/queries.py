@@ -148,12 +148,11 @@ class CrossRunQuery:
     Only store-backed sessions can plan it.  Answers a
     :class:`CrossRunSweepResult`.
 
-    ``workers`` controls the parallel executor: ``None`` auto-sizes a
-    thread pool from the CPU count (falling back to the sequential path
-    for small run counts), ``1`` forces the sequential path, and any
-    larger value pins the pool size.  ``pushdown`` behaves as on
-    :class:`DownstreamQuery` (the sweep is pushed down only when every
-    run's scheme declares the capability).
+    ``workers`` controls the cross-run executor: ``None`` (the default)
+    and ``1`` run in-process over the store's resident label columns,
+    and a larger value fans the runs over a pool of that size.
+    ``pushdown`` behaves as on :class:`DownstreamQuery` (the sweep is
+    pushed down only when every run's scheme declares the capability).
     """
 
     specification: str

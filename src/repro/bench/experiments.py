@@ -1052,7 +1052,7 @@ _PARALLEL_CROSS_RUN_SETTINGS = {
 }
 
 #: pool size the parallel rows are measured with (fixed so the row identity
-#: is stable across hosts; the auto-sized default is exercised by tests)
+#: is stable across hosts; the in-process default is the baseline)
 PARALLEL_BENCH_WORKERS = 4
 
 
@@ -1321,11 +1321,12 @@ def throughput_parallel_cross_run(
         notes=[
             "every parallel/optimized result set is verified bit-identical "
             "to its sequential baseline before any number is reported",
-            "sweep rows: the PR 3 sequential streaming sweep vs the chunked "
-            "parallel executor (workers pinned at "
-            f"{PARALLEL_BENCH_WORKERS}); pool rows legitimately dip below "
-            "1x on single-core hosts, where the production executor "
-            "auto-selects the sequential path instead",
+            "sweep rows: the in-process sequential sweep (workers=1, the "
+            "path the auto default takes) vs the chunked parallel executor "
+            f"(workers pinned at {PARALLEL_BENCH_WORKERS}), both from a cold "
+            "store; pool rows below 1x mean the pool loses on this host, "
+            "which is why auto (workers=None) always runs in-process over "
+            "the store's resident label-column cache",
             "cross-batch rows: the same pairs asked of every run — per-run "
             "session BatchQuery loop (full cached engine per run) vs the "
             "shared-spec-kernel streaming CrossRunBatchQuery",

@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers for the per-run payloads (default: auto-sized "
-        "from the CPU count; 1 forces the sequential path)",
+        help="parallel workers for the per-run payloads (default: in-process "
+        "over the store's cached label columns; N > 1 fans runs over a pool)",
     )
     sweep_parser.add_argument(
         "--pushdown",

@@ -287,6 +287,74 @@ def _spec_reachability_matrix(spec_index: Any):
 _MISSING = object()
 
 
+class ModuleTable:
+    """An ordered module dictionary: ``names[code]`` and ``code_of[name]``.
+
+    The dictionary a run's origin-module column is encoded against.  A
+    :class:`SpecKernel` owns one whose codes *are* its dense-matrix
+    positions, so columns encoded against it index the matrix directly.
+    """
+
+    __slots__ = ("names", "code_of")
+
+    def __init__(self, names: Sequence) -> None:
+        self.names = tuple(names)
+        self.code_of = {name: code for code, name in enumerate(self.names)}
+
+    def extended(self, modules) -> "ModuleTable":
+        """This table, or a copy grown by the *modules* it does not know."""
+        unseen = sorted(set(modules) - self.code_of.keys())
+        return self if not unseen else ModuleTable(self.names + tuple(unseen))
+
+    def encode(self, executions: Sequence[tuple]):
+        """``(codes, instances)`` columns of ``(module, instance)`` pairs.
+
+        Unknown modules encode as ``-1``, a code no stored row carries.
+        """
+        code_of = self.code_of
+        codes = [code_of.get(module, -1) for module, _ in executions]
+        instances = [instance for _, instance in executions]
+        if _np is not None:
+            return _np.asarray(codes, dtype=_np.int64), _np.asarray(
+                instances, dtype=_np.int64
+            )
+        return codes, instances
+
+
+class ModuleColumn:
+    """One run's origin-module column, dictionary-encoded against a table.
+
+    Indexing yields module names, so the column stands in for a list of
+    origin names (the fall-through paths read only the rows they need);
+    :meth:`SpecKernel.origin_positions` reads ``codes`` directly when the
+    column was encoded against the kernel's own table.
+    """
+
+    __slots__ = ("codes", "table")
+
+    def __init__(self, codes: Sequence[int], table: ModuleTable) -> None:
+        self.codes = codes
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, row: int):
+        return self.table.names[self.codes[row]]
+
+    def __iter__(self):
+        return map(self.table.names.__getitem__, self.codes.tolist())
+
+
+def column_positions(position_of: dict, modules: ModuleColumn):
+    """Dense-matrix positions of an encoded column, via a per-table lookup."""
+    names = modules.table.names
+    lookup = _np.fromiter(
+        map(position_of.__getitem__, names), dtype=_np.int64, count=len(names)
+    )
+    return lookup[_np.asarray(modules.codes, dtype=_np.int64)]
+
+
 def dense_sweep_answers(matrix, q1, q2, q3, orig, anchor, downstream):
     """Anchored Algorithm-3 sweep over raw arrays + a dense spec matrix.
 
@@ -351,6 +419,13 @@ class SpecKernel:
             self.matrix, self.position_of = _spec_reachability_matrix(spec_index)
         else:
             self.matrix, self.position_of = None, None
+        # matrix positions run 0..nG-1, so codes in this table *are* the
+        # positions; without a matrix any module order will do
+        self.module_table = ModuleTable(
+            spec_index.graph.vertices()
+            if self.position_of is None
+            else sorted(self.position_of, key=self.position_of.__getitem__)
+        )
         self._label_cache: dict = {}
 
     @property
@@ -368,7 +443,16 @@ class SpecKernel:
         return SpecKernel(self.spec_index)
 
     def origin_positions(self, modules: Sequence):
-        """Map origin module names to dense-matrix positions (dense only)."""
+        """Map origin module names to dense-matrix positions (dense only).
+
+        A :class:`ModuleColumn` encoded against this kernel's table is
+        already positional; one encoded against another table is remapped
+        with a per-table lookup array instead of a per-row name lookup.
+        """
+        if isinstance(modules, ModuleColumn):
+            if modules.table is self.module_table:
+                return modules.codes
+            return column_positions(self.position_of, modules)
         return _np.fromiter(
             map(self.position_of.__getitem__, modules),
             dtype=_np.int64,

@@ -1,54 +1,49 @@
-"""Parallel cross-run execution: fan per-run label streams across workers.
+"""Cross-run execution: one question asked of every run of a specification.
 
-The cross-run query path (PR 3) compiles one shared
+Every cross-run query compiles one shared
 :class:`~repro.engine.kernels.SpecKernel` per ``(specification, scheme)``
-and streams every run's raw label columns through it — but strictly one run
-at a time, over the store's single SQLite connection.  Profiling shows the
-per-run payload is dominated by the **fetch** (the SQL scan plus the column
-transpose), not the kernel math, so parallelizing only the evaluation would
-serialize on the one connection and win nothing.  This module therefore
-partitions a specification's runs into chunks and hands each chunk to a
-worker that opens its **own read-only connection** to the store file,
-fetches the chunk with a single ordered ``run_id IN`` scan
-(:func:`~repro.storage.store.load_label_arrays`), and evaluates its runs
-through the shared kernel:
+and evaluates each run's label columns through it.  Two operations run
+through :class:`CrossRunExecutor`: the anchored dependency **sweep**
+(``CrossRunQuery``) and the generalized **pair batch** (the same pairs
+asked of every run, a runs x pairs matrix) behind ``CrossRunBatchQuery`` /
+``CrossRunPointQuery``.
 
-* the default pool is the **store-owned persistent worker pool**
-  (:mod:`repro.engine.pool`): lazily started on the first parallel
-  execution, reused by every later one (and by the sharded store's ingest
-  service), closed with the store — a monitoring loop re-executing one
-  compiled plan no longer pays pool startup per execution.  Thread workers
-  by default — ``sqlite3``'s step loop and numpy's ufuncs release the GIL,
-  so fetch and kernel work overlap;
+**The default (``workers=None``) runs in-process** over the store's
+resident label-column cache
+(:meth:`~repro.storage.store.ProvenanceStore.run_label_arrays_many`,
+:mod:`repro.storage.columns`): one call per spec kernel reads the whole
+specification, from SQL only for runs not read since the last write, and
+each run is evaluated inline.  A warm sweep finds the anchor row with one
+vectorized comparison and builds ``(module, instance)`` tuples only for
+the rows it returns; a warm batch maps its pairs to rows with one
+``searchsorted`` per run.  Nothing is packed or pooled.  Measured with
+``perfbench/run.py --workload sweep --seconds 20`` on a 2-core host
+(``nproc`` = 2, 10 alternating runs of each side), the median 12-run x
+1,600-vertex tcm sweep went from 136.6 ms on the previous default (an
+auto-sized 2-thread pool re-reading every run from SQL) to 5.5 ms, and
+the 2,000-pair cross-run batch from 145.4 ms to 14.7 ms.
+
+**An explicit ``workers=N`` fans out** as before: runs are chunked (per
+shard file, with hot-spec replicas round-robined across chunks) and each
+chunk is fetched by a worker over its **own read-only connection** with a
+single ordered ``run_id IN`` scan
+(:func:`~repro.storage.store.load_label_arrays`), bypassing the cache:
+
+* the pool is the **store-owned persistent worker pool**
+  (:mod:`repro.engine.pool`), lazily started and closed with the store;
+  thread workers by default;
 * ``REPRO_PARALLEL=process`` switches to a process pool whose tasks are
   top-level functions fed picklable payloads.  The dense spec matrix is
-  pickled **once per kernel per pool** (the blob is cached on the pool and
-  reshipped as bytes, a memcpy), not re-serialized per execution; runs
-  whose spec kernel is not dense — live traversal schemes, numpy-less
-  installs — cannot ship and are evaluated on the submitting side;
-* chunking is **shard-aware**: when the store routes runs across shard
-  files (:class:`~repro.storage.sharded.ShardedProvenanceStore` exposes
-  ``shard_path_of``), runs are grouped by their physical file first, so
-  each worker connection opens exactly the one shard file its chunk lives
-  in;
-* workers return **packed** results — affected sweep rows as
-  module-dictionary + two int64 columns, batch answers as a byte vector —
-  decoded once at the API boundary (:meth:`CrossRunExecutor._split_outcomes`),
-  which shrinks process-mode pickling and the GIL-bound per-row tuple
-  building in thread mode;
-* two operations run through it: the anchored dependency **sweep**
-  (``CrossRunQuery``) and the generalized **pair batch** (the same pairs
-  asked of every run, a runs x pairs matrix) behind ``CrossRunBatchQuery``
-  / ``CrossRunPointQuery``.
+  pickled **once per kernel per pool**; runs whose spec kernel is not
+  dense — live traversal schemes, numpy-less installs — are evaluated on
+  the submitting side.  Only these results cross a process boundary, so
+  only they are **packed** (module dictionary + two int64 columns for
+  sweeps, a byte vector for batches) and decoded once in the parent.
 
-The sequential path is retained verbatim (per-run streaming fetch, inline
-evaluation) and auto-selected when the run count is below
-:data:`PARALLEL_MIN_RUNS`, when only one CPU is available, when
-``workers=1`` is requested, or when the store is in-memory (a ``:memory:``
-database is reachable only through its one connection).  Parallel answers
-are bit-identical to sequential ones: every mode evaluates the same
-compiled-kernel formula over the same streamed arrays, and every mode
-round-trips through the same packed encoding.
+An in-memory store always takes the in-process path (a ``:memory:``
+database is reachable only through its one connection).  Answers are
+bit-identical across every path: each evaluates the same compiled-kernel
+formula over the same label columns.
 """
 
 from __future__ import annotations
@@ -67,7 +62,11 @@ from typing import Any, Callable, Optional, Sequence, Union
 from urllib.parse import quote
 
 from repro import faults
-from repro.engine.kernels import dense_pair_answers, dense_sweep_answers
+from repro.engine.kernels import (
+    column_positions,
+    dense_pair_answers,
+    dense_sweep_answers,
+)
 from repro.engine.pool import PersistentWorkerPool
 from repro.exceptions import QueryPlanError, WorkerCrashError
 from repro.faults import fault_point
@@ -85,8 +84,9 @@ __all__ = [
     "resolve_workers",
 ]
 
-#: below this many runs the sequential path is auto-selected (pool startup
-#: and per-chunk connections would dominate the handful of payloads)
+#: the run count below which the auto-sized pool used to stay sequential;
+#: auto is now always in-process (see resolve_workers), and the constant
+#: remains only for callers that size their own workloads by it
 PARALLEL_MIN_RUNS = 4
 
 #: the most runs one worker fetches with a single ordered SQL scan; chunks
@@ -95,8 +95,9 @@ PARALLEL_MIN_RUNS = 4
 #: amortize the per-chunk connection and query setup
 PREFETCH_CHUNK_RUNS = 4
 
-#: cap on auto-sized pools; cross-run payloads are short, so more workers
-#: than this just adds scheduler churn
+#: cap on derived pool widths (the replica-fan floor of the cross-run plans,
+#: the store-owned pool size); cross-run payloads are short, so more
+#: workers than this just adds scheduler churn
 MAX_AUTO_WORKERS = 8
 
 #: chunk failures the executor transparently recovers from: a retry on the
@@ -139,30 +140,87 @@ def _worker_timeout() -> Optional[float]:
 def resolve_workers(workers: Optional[int], run_count: int) -> int:
     """How many workers a cross-run execution actually uses.
 
-    An explicit *workers* request is honored (clamped to the run count —
-    there is never more than one task per run in flight); ``None`` sizes
-    the pool from ``os.cpu_count()`` capped at :data:`MAX_AUTO_WORKERS`,
-    and additionally auto-selects the sequential path (returns 1) for
-    small sweeps (< :data:`PARALLEL_MIN_RUNS` runs) or single-core hosts.
+    ``None`` (auto) always returns 1: the in-process path over the store's
+    resident label-column cache, which leaves a pool nothing to overlap
+    (see the module docstring for the measured gap on a 2-core host).  An
+    explicit *workers* request is honored, clamped to the run count (never
+    more than one task per run in flight); the cross-run plans turn an
+    attached replica fan into such an explicit request.
     """
-    if run_count <= 0:
+    if run_count <= 0 or workers is None:
         return 1
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise QueryPlanError(f"workers must be a positive integer, got {workers}")
-        return min(workers, run_count)
-    cpus = os.cpu_count() or 1
-    if cpus <= 1 or run_count < PARALLEL_MIN_RUNS:
-        return 1
-    return max(1, min(cpus, MAX_AUTO_WORKERS, run_count))
+    workers = int(workers)
+    if workers < 1:
+        raise QueryPlanError(f"workers must be a positive integer, got {workers}")
+    return min(workers, run_count)
 
 
-def _true_positions(answers) -> list[int]:
+def _ids_of(runs: list[dict]) -> list[int]:
+    return [int(row["run_id"]) for row in runs]
+
+
+def _true_positions(answers):
     """Row indices answered True (numpy fast path when the array allows)."""
     if _np is not None and isinstance(answers, _np.ndarray):
-        return _np.flatnonzero(answers).tolist()
+        return _np.flatnonzero(answers)
     return [i for i, answer in enumerate(answers) if answer]
+
+
+def _sweep_outcome(kernel, arrays, anchor, downstream: bool):
+    """One run's affected executions, or ``None`` if it never ran *anchor*.
+
+    The anchor row is found with one vectorized comparison over the run's
+    columns, and ``(module, instance)`` tuples are built only for the
+    rows the kernel returns.
+    """
+    anchor_row = arrays.anchor_row(anchor)
+    if anchor_row is None:
+        return None
+    answers = kernel.sweep(
+        arrays.q1, arrays.q2, arrays.q3, arrays.modules, anchor_row,
+        downstream=downstream,
+    )
+    return arrays.executions_at(_true_positions(answers))
+
+
+class _PairColumns:
+    """A batch's endpoints, encoded once per module table they are asked of."""
+
+    def __init__(self, pairs: Sequence[tuple]) -> None:
+        self.sources = [source for source, _ in pairs]
+        self.targets = [target for _, target in pairs]
+        self._encoded: dict[int, tuple] = {}
+
+    def rows(self, arrays):
+        """``(source_rows, target_rows)`` in *arrays*, or ``None`` if absent."""
+        table = arrays.modules.table
+        encoded = self._encoded.get(id(table))
+        if encoded is None:
+            # the entry holds the table, so its id cannot be recycled
+            encoded = self._encoded[id(table)] = (
+                table,
+                table.encode(self.sources),
+                table.encode(self.targets),
+            )
+        _, sources, targets = encoded
+        source_rows = arrays.pair_rows(*sources)
+        if source_rows is None:
+            return None
+        target_rows = arrays.pair_rows(*targets)
+        if target_rows is None:
+            return None
+        return source_rows, target_rows
+
+
+def _batch_outcome(kernel, arrays, pair_columns: _PairColumns):
+    """One run's answers, in pair order, or ``None`` if an endpoint is absent."""
+    rows = pair_columns.rows(arrays)
+    if rows is None:
+        return None
+    answers = kernel.pairs(arrays.q1, arrays.q2, arrays.q3, arrays.modules, *rows)
+    if _np is not None and isinstance(answers, _np.ndarray):
+        return answers.tolist()
+    return [bool(answer) for answer in answers]
 
 
 def _readonly_connection(path):
@@ -181,22 +239,21 @@ def _readonly_connection(path):
 
 
 # ----------------------------------------------------------------------
-# packed worker results (decoded once at the API boundary)
+# packed process-worker results (decoded once, in the parent)
 # ----------------------------------------------------------------------
-def _pack_affected(executions, positions) -> tuple:
+def _pack_affected(executions) -> tuple:
     """Pack affected sweep rows: module dictionary + two int64 columns.
 
     ``len(affected)`` Python tuples become one small tuple of distinct
     module names plus two byte blobs — far cheaper to pickle out of a
-    process worker and to build inside a GIL-holding thread worker than
-    the decoded ``(module, instance)`` list.
+    process worker than the decoded ``(module, instance)`` list.  Only
+    results that cross a process boundary are packed.
     """
     modules: list[str] = []
     module_index: dict[str, int] = {}
     index_column = array("q")
     instance_column = array("q")
-    for position in positions:
-        module, instance = executions[position]
+    for module, instance in executions:
         slot = module_index.setdefault(module, len(modules))
         if slot == len(modules):
             modules.append(module)
@@ -228,9 +285,7 @@ def _pack_answers(answers) -> tuple:
 
 
 def _decode_outcome(packed) -> Union[list, None]:
-    """Decode one packed per-run outcome (``None`` = the run was skipped)."""
-    if packed is None:
-        return None
+    """Decode one packed per-run outcome."""
     if packed[0] == "sweep":
         return _decode_affected(packed)
     return [bool(byte) for byte in packed[1]]
@@ -239,15 +294,15 @@ def _decode_outcome(packed) -> Union[list, None]:
 # ----------------------------------------------------------------------
 # worker tasks (top-level so the process pool can pickle them)
 # ----------------------------------------------------------------------
-def _fetch_chunk_arrays(db_path, run_ids):
-    """Fetch one chunk's label arrays over a task-private connection."""
+def _fetch_chunk_arrays(db_path, run_ids, table=None):
+    """Fetch one chunk's label columns over a task-private connection."""
     # imported lazily: repro.storage imports repro.engine submodules, so a
     # module-level import here would tangle package initialization order
     from repro.storage.store import load_label_arrays
 
     connection = _readonly_connection(db_path)
     try:
-        return load_label_arrays(connection, run_ids)
+        return load_label_arrays(connection, run_ids, table)
     finally:
         connection.close()
 
@@ -255,14 +310,12 @@ def _fetch_chunk_arrays(db_path, run_ids):
 def _thread_chunk_task(db_path, run_ids, kernels, evaluate):
     """One thread task: private-connection fetch, then per-run evaluation."""
     fault_point("pool.task")
-    arrays_of = _fetch_chunk_arrays(db_path, run_ids)
-    return [evaluate(run_id, kernels[run_id], arrays_of[run_id]) for run_id in run_ids]
-
-
-def _origin_rows(position_of, origins):
-    return _np.fromiter(
-        map(position_of.__getitem__, origins), dtype=_np.int64, count=len(origins)
+    arrays_of = _fetch_chunk_arrays(
+        db_path, run_ids, kernels[run_ids[0]].module_table
     )
+    return [
+        (run_id, evaluate(kernels[run_id], arrays_of[run_id])) for run_id in run_ids
+    ]
 
 
 def _process_chunk_task(payload):
@@ -273,9 +326,8 @@ def _process_chunk_task(payload):
     **pickled blob** (``pickle.dumps((matrix, position_of))`` — serialized
     once per kernel per pool and reshipped as bytes), and the operation
     descriptor (``("sweep", anchor, downstream)`` or ``("batch", pairs)``).
-    Results come back packed (see :func:`_pack_affected` /
-    :func:`_pack_answers`); the parent decodes them once at the API
-    boundary.
+    Results cross the process boundary packed (see :func:`_pack_affected`
+    / :func:`_pack_answers`); the parent decodes them once.
     """
     db_path, run_ids, blob_of, op = payload
     fault_point("pool.task")
@@ -297,9 +349,8 @@ def _process_chunk_task(payload):
         for run_id in run_ids:
             arrays = arrays_of[run_id]
             matrix, position_of = dense_of(run_id)
-            try:
-                anchor_row = arrays.executions.index(anchor)
-            except ValueError:
+            anchor_row = arrays.anchor_row(anchor)
+            if anchor_row is None:
                 results.append((run_id, None))
                 continue
             answers = dense_sweep_answers(
@@ -307,38 +358,24 @@ def _process_chunk_task(payload):
                 arrays.q1,
                 arrays.q2,
                 arrays.q3,
-                _origin_rows(position_of, arrays.origins),
+                column_positions(position_of, arrays.modules),
                 anchor_row,
                 downstream,
             )
             results.append(
                 (
                     run_id,
-                    _pack_affected(
-                        arrays.executions, _np.flatnonzero(answers).tolist()
-                    ),
+                    _pack_affected(arrays.executions_at(_np.flatnonzero(answers))),
                 )
             )
     else:
         _, pairs = op
+        pair_columns = _PairColumns(pairs)
         for run_id in run_ids:
             arrays = arrays_of[run_id]
             matrix, position_of = dense_of(run_id)
-            row_of = {
-                execution: row for row, execution in enumerate(arrays.executions)
-            }
-            try:
-                source_rows = _np.fromiter(
-                    (row_of[source] for source, _ in pairs),
-                    dtype=_np.int64,
-                    count=len(pairs),
-                )
-                target_rows = _np.fromiter(
-                    (row_of[target] for _, target in pairs),
-                    dtype=_np.int64,
-                    count=len(pairs),
-                )
-            except KeyError:
+            rows = pair_columns.rows(arrays)
+            if rows is None:
                 results.append((run_id, None))
                 continue
             answers = dense_pair_answers(
@@ -346,21 +383,21 @@ def _process_chunk_task(payload):
                 arrays.q1,
                 arrays.q2,
                 arrays.q3,
-                _origin_rows(position_of, arrays.origins),
-                source_rows,
-                target_rows,
+                column_positions(position_of, arrays.modules),
+                *rows,
             )
             results.append((run_id, _pack_answers(answers)))
     return results
 
 
-def _pushdown_chunk_task(db_path, run_ids, anchor, modules, downstream):
+def _pushdown_chunk_task(db_path, run_ids, anchor, modules, downstream, pack=False):
     """One pushdown task: indexed range scans over a task-private connection.
 
     Fully picklable (a path, ids, the anchor and a module-name list — no
     kernels, no numpy), so the same task serves thread pools, process pools
     and numpy-less installs alike.  Only the matching rows ever leave
-    SQLite; they come back packed like every other worker result.
+    SQLite; with *pack* (a process pool) they cross the process boundary
+    packed, otherwise they are returned as they are.
     """
     from repro.storage.pushdown import pushdown_sweep
 
@@ -372,8 +409,10 @@ def _pushdown_chunk_task(db_path, run_ids, anchor, modules, downstream):
         )
     finally:
         connection.close()
+    if not pack:
+        return list(per_run.items())
     return [
-        (run_id, None if result is None else _pack_affected(result, range(len(result))))
+        (run_id, None if result is None else _pack_affected(result))
         for run_id, result in per_run.items()
     ]
 
@@ -389,8 +428,9 @@ class CrossRunExecutor:
         a ``path``; a sharded store additionally exposes ``shard_path_of``,
         which makes the chunking shard-aware).
     workers:
-        Worker count; ``None`` auto-sizes (see :func:`resolve_workers`) and
-        falls back to the retained sequential path for small sweeps.
+        Worker count; ``None`` (auto) runs in-process over the store's
+        resident label columns (see :func:`resolve_workers`), an explicit
+        count fans chunks over a pool.
     mode:
         ``"thread"`` (default) or ``"process"``; ``None`` reads the
         ``REPRO_PARALLEL`` environment variable.  Process mode requires
@@ -434,12 +474,37 @@ class CrossRunExecutor:
     # ------------------------------------------------------------------
     # shared plumbing
     # ------------------------------------------------------------------
-    def _run_ids(self, specification: str) -> list[int]:
+    def _runs(self, specification: str) -> list[dict]:
         runs = self.store.list_runs(specification)
         if not runs:
             # distinguish "unknown specification" from "no runs yet"
             self.store.get_specification(specification)
-        return [int(row["run_id"]) for row in runs]
+        return runs
+
+    def _run_ids(self, specification: str) -> list[int]:
+        return _ids_of(self._runs(specification))
+
+    def _kernel_groups(self, runs: list[dict]) -> list[tuple[Any, list[int]]]:
+        """``(spec kernel, run ids)`` per ``(spec_id, scheme)`` among *runs*.
+
+        The store caches one kernel per ``(spec_id, scheme)``, so asking
+        it once per group (instead of once per run) is the same kernel
+        for one SQL lookup instead of one per run.
+        """
+        groups: dict[tuple, list[int]] = {}
+        for row in runs:
+            key = (row.get("spec_id"), row.get("spec_scheme") or "tcm")
+            groups.setdefault(key, []).append(int(row["run_id"]))
+        return [
+            (self.store.spec_kernel(group[0]), group) for group in groups.values()
+        ]
+
+    def _kernels_of(self, runs: list[dict]) -> dict[int, Any]:
+        return {
+            run_id: kernel
+            for kernel, group in self._kernel_groups(runs)
+            for run_id in group
+        }
 
     def _parallel_workers(self, run_count: int) -> int:
         """The pool size, or 1 whenever the sequential path must serve."""
@@ -611,21 +676,22 @@ class CrossRunExecutor:
 
     def _execute(
         self,
-        run_ids: list[int],
+        runs: list[dict],
         workers: int,
         evaluate: Callable,
         op: tuple,
     ) -> dict[int, Any]:
-        """Fan chunk tasks over the pool; returns per-run packed outcomes.
+        """Fan chunk tasks over the pool; returns per-run outcomes.
 
         *evaluate* is the shared-kernel per-run evaluation (used by thread
         workers and for runs process mode cannot ship); *op* is the
-        picklable operation descriptor for process tasks.  Tasks are
-        submitted to the store's persistent pool when one is available,
-        else to a fresh ephemeral pool that is torn down with the call.
+        picklable operation descriptor for process tasks, whose outcomes
+        come back packed.  Tasks are submitted to the store's persistent
+        pool when one is available, else to a fresh ephemeral pool that
+        is torn down with the call.
         """
-        store = self.store
-        kernels = {run_id: store.spec_kernel(run_id) for run_id in run_ids}
+        kernels = self._kernels_of(runs)
+        run_ids = _ids_of(runs)
         outcomes: dict[int, Any] = {}
         use_processes = self.mode == "process" and _np is not None
         pool = self._resolve_pool("process" if use_processes else "thread")
@@ -671,12 +737,13 @@ class CrossRunExecutor:
                 # across processes; evaluate them here while the pool works
                 for db_path, path_runs in self._path_groups(local):
                     for chunk in self._chunks(path_runs):
-                        arrays_of = _fetch_chunk_arrays(db_path, chunk)
+                        arrays_of = _fetch_chunk_arrays(
+                            db_path, chunk, kernels[chunk[0]].module_table
+                        )
                         for run_id in chunk:
-                            _, answer = evaluate(
-                                run_id, kernels[run_id], arrays_of[run_id]
+                            outcomes[run_id] = evaluate(
+                                kernels[run_id], arrays_of[run_id]
                             )
-                            outcomes[run_id] = answer
                 for record in submitted:
                     outcomes.update(dict(self._settle(submit, *record)))
 
@@ -717,37 +784,24 @@ class CrossRunExecutor:
         order); runs that never executed *anchor* land in ``skipped``.
         """
         downstream = direction == "downstream"
-        run_ids = self._run_ids(specification)
-        workers = self._parallel_workers(len(run_ids))
-        if run_ids:
-            profile = getattr(self.store, "pushdown_profile", None)
+        runs = self._runs(specification)
+        workers = self._parallel_workers(len(runs))
+        if runs:
             note = getattr(self.store, "_note_sweep_path", None)
-            if profile is not None and note is not None:
-                note(profile(run_ids[0])[0], pushdown=False, run_id=run_ids[0])
+            if note is not None:
+                note(
+                    runs[0].get("spec_scheme") or "tcm",
+                    pushdown=False,
+                    run_id=int(runs[0]["run_id"]),
+                )
 
-        def evaluate(run_id: int, kernel, arrays):
-            try:
-                anchor_row = arrays.executions.index(anchor)
-            except ValueError:
-                return run_id, None
-            answers = kernel.sweep(
-                arrays.q1,
-                arrays.q2,
-                arrays.q3,
-                arrays.origins,
-                anchor_row,
-                downstream=downstream,
-            )
-            return run_id, _pack_affected(
-                arrays.executions, _true_positions(answers)
-            )
+        def evaluate(kernel, arrays):
+            return _sweep_outcome(kernel, arrays, anchor, downstream)
 
         if workers <= 1:
-            return self._run_sequential(run_ids, evaluate)
-        outcomes = self._execute(
-            run_ids, workers, evaluate, ("sweep", anchor, downstream)
-        )
-        return self._split_outcomes(run_ids, outcomes)
+            return self._run_sequential(runs, evaluate)
+        outcomes = self._execute(runs, workers, evaluate, ("sweep", anchor, downstream))
+        return self._split_outcomes(_ids_of(runs), outcomes)
 
     def sweep_pushdown(
         self, specification: str, anchor: tuple, direction: str = "downstream"
@@ -807,8 +861,9 @@ class CrossRunExecutor:
             return per_run, skipped
         pool = self._resolve_pool(self.mode)
         cap_tasks = pool is not None and pool.workers > workers
+        pack = self.mode == "process"
         chunk_tasks = [
-            (_pushdown_chunk_task, (db_path, chunk, anchor, modules, downstream))
+            (_pushdown_chunk_task, (db_path, chunk, anchor, modules, downstream, pack))
             for db_path, chunk in self._fan_chunks(
                 run_ids, workers, cap_tasks=cap_tasks
             )
@@ -844,53 +899,42 @@ class CrossRunExecutor:
         pairs = list(pairs)
         if not pairs:
             raise QueryPlanError("cross-run batch needs at least one pair")
-        run_ids = self._run_ids(specification)
-        workers = self._parallel_workers(len(run_ids))
+        runs = self._runs(specification)
+        workers = self._parallel_workers(len(runs))
+        pair_columns = _PairColumns(pairs)
 
-        def evaluate(run_id: int, kernel, arrays):
-            row_of = {
-                execution: row for row, execution in enumerate(arrays.executions)
-            }
-            try:
-                source_rows = [row_of[source] for source, _ in pairs]
-                target_rows = [row_of[target] for _, target in pairs]
-            except KeyError:
-                return run_id, None
-            answers = kernel.pairs(
-                arrays.q1,
-                arrays.q2,
-                arrays.q3,
-                arrays.origins,
-                source_rows,
-                target_rows,
-            )
-            return run_id, _pack_answers(answers)
+        def evaluate(kernel, arrays):
+            return _batch_outcome(kernel, arrays, pair_columns)
 
         if workers <= 1:
-            return self._run_sequential(run_ids, evaluate)
-        outcomes = self._execute(run_ids, workers, evaluate, ("batch", pairs))
-        return self._split_outcomes(run_ids, outcomes)
+            return self._run_sequential(runs, evaluate)
+        outcomes = self._execute(runs, workers, evaluate, ("batch", pairs))
+        return self._split_outcomes(_ids_of(runs), outcomes)
 
-    def _run_sequential(self, run_ids, evaluate) -> tuple[dict[int, Any], list[int]]:
-        """The retained PR 3 path: per-run streaming fetch, inline evaluation."""
+    def _run_sequential(self, runs, evaluate) -> tuple[dict[int, Any], list[int]]:
+        """The in-process path: every run from the store's resident columns.
+
+        One :meth:`run_label_arrays_many` call per spec kernel reads the
+        whole specification — from SQL only for runs not yet cached — and
+        each run is evaluated inline, with no pool and no result packing.
+        """
         store = self.store
         outcomes: dict[int, Any] = {}
-        for run_id in run_ids:
-            # the kernel is cached per (spec_id, scheme): compiled once for
-            # the whole operation, like the parallel paths
-            _, answer = evaluate(
-                run_id, store.spec_kernel(run_id), store.run_label_arrays(run_id)
-            )
-            outcomes[run_id] = answer
-        return self._split_outcomes(run_ids, outcomes)
+        for kernel, group in self._kernel_groups(runs):
+            arrays_of = store.run_label_arrays_many(group, kernel.module_table)
+            for run_id in group:
+                outcomes[run_id] = evaluate(kernel, arrays_of[run_id])
+        return self._split_outcomes(_ids_of(runs), outcomes)
 
     @staticmethod
     def _split_outcomes(run_ids, outcomes) -> tuple[dict[int, Any], list[int]]:
-        """Decode the packed per-run payloads once, at the API boundary."""
+        """``(per_run, skipped)``, decoding what process workers packed."""
         per_run: dict[int, Any] = {}
         skipped: list[int] = []
         for run_id in run_ids:
-            answer = _decode_outcome(outcomes[run_id])
+            answer = outcomes[run_id]
+            if isinstance(answer, tuple):
+                answer = _decode_outcome(answer)
             if answer is None:
                 skipped.append(run_id)
             else:

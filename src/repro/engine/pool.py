@@ -51,8 +51,8 @@ from repro.faults import fault_point
 __all__ = ["PersistentWorkerPool", "WorkerPoolOwner", "DEFAULT_POOL_WORKERS"]
 
 #: pool size when the owner does not pin one; matches the executor's
-#: MAX_AUTO_WORKERS cap so a store-owned pool never undersizes an
-#: auto-sized cross-run execution
+#: MAX_AUTO_WORKERS cap so a store-owned pool never undersizes a
+#: replica-fanned cross-run execution
 DEFAULT_POOL_WORKERS = 8
 
 

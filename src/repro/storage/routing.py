@@ -280,6 +280,7 @@ def _purge_shard_caches(shard_store, spec_id: int, run_ids: list[int]) -> None:
     for run_id in run_ids:
         shard_store._stored_run_cache.pop(run_id, None)
         shard_store._engine_cache.pop(run_id, None)
+    shard_store.invalidate_label_columns()
 
 
 def migrate_spec(

@@ -454,8 +454,14 @@ class ShardedProvenanceStore(WorkerPoolOwner):
     # the routing subsystem: rebalance, replicas, catalog introspection
     # ------------------------------------------------------------------
     def _note_shard_write(self, shard: int) -> None:
-        """Bump the shard's update version: its replicas are now stale."""
+        """Bump the shard's update version: its replicas are now stale.
+
+        The shard's cached label columns are dropped too, so a write made
+        over a connection other than the shard store's own is never
+        masked by rows read before it.
+        """
         self._replicas.note_write(shard)
+        self._stores[shard].invalidate_label_columns()
 
     def _shard_run_counts(self) -> list[int]:
         """Stored run count per shard (what ``rebalance`` auto-picks by)."""
@@ -508,7 +514,7 @@ class ShardedProvenanceStore(WorkerPoolOwner):
         """How many equivalent files can serve reads of *specification*.
 
         ``1`` without replicas; the planner uses a wider fan to justify
-        parallel workers even where the auto-sizing would stay sequential.
+        parallel workers where auto would stay in-process.
         """
         shard = self._routed_shard_of_spec(specification)
         return 1 + len(self._replicas.rotation(shard))
@@ -613,15 +619,17 @@ class ShardedProvenanceStore(WorkerPoolOwner):
         return self._store_of_run(run_id).run_label_arrays(run_id)
 
     def run_label_arrays_many(
-        self, run_ids: Sequence[int]
+        self, run_ids: Sequence[int], table=None
     ) -> dict[int, RunLabelArrays]:
-        """Many runs' label columns, one chunked ordered scan per shard."""
+        """Many runs' label columns from each owning shard's resident cache."""
         by_shard: dict[int, list[int]] = {}
         for run_id in run_ids:
             by_shard.setdefault(self._shard_of_run(run_id), []).append(run_id)
         arrays: dict[int, RunLabelArrays] = {}
         for shard, shard_run_ids in by_shard.items():
-            arrays.update(self._stores[shard].run_label_arrays_many(shard_run_ids))
+            arrays.update(
+                self._stores[shard].run_label_arrays_many(shard_run_ids, table)
+            )
         return arrays
 
     # ------------------------------------------------------------------
@@ -757,6 +765,7 @@ class ShardedProvenanceStore(WorkerPoolOwner):
             "evictions": 0,
         }
         pushdown: dict[str, dict[str, int]] = {"sql": {}, "kernel": {}}
+        label_columns: dict[str, int] = {}
         degraded = dict(self._degraded)
         overrides = self._routing.entries()
         routed_of: dict[int, int] = {}
@@ -777,6 +786,8 @@ class ShardedProvenanceStore(WorkerPoolOwner):
                     sweeps[path] = sum(int(count) for count in counts.values())
             for kind, count in shard_stats.get("degraded", {}).items():
                 degraded[kind] = degraded.get(kind, 0) + int(count)
+            for key, count in shard_stats["label_columns"].items():
+                label_columns[key] = label_columns.get(key, 0) + int(count)
             connection = store._connection
             per_shard.append(
                 {
@@ -802,6 +813,7 @@ class ShardedProvenanceStore(WorkerPoolOwner):
             "limit": STORED_RUN_CACHE_LIMIT * self.shard_count,
             "pushdown": pushdown,
             "degraded": degraded,
+            "label_columns": label_columns,
         }
         pools = self.pool_stats()
         if pools:

@@ -34,18 +34,15 @@ from __future__ import annotations
 
 import sqlite3
 import warnings
-from array import array
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.engine.kernels import SpecKernel, compile_spec_kernel
+from repro.engine.kernels import ModuleTable, SpecKernel, compile_spec_kernel
 from repro.engine.pool import WorkerPoolOwner
 from repro.engine.query import QueryEngine
 from repro.exceptions import StorageError
-from repro.faults import fault_point
 from repro.labeling.base import VertexHandleAPI
 from repro.labeling.registry import get_scheme
 from repro.provenance.data import DataFlow
@@ -54,6 +51,11 @@ from repro.skeleton.skl import (
     SkeletonLabeledRun,
     skeleton_predicate,
     skeleton_predicate_many,
+)
+from repro.storage.columns import (
+    LabelColumnCache,
+    RunLabelArrays,
+    load_label_arrays,
 )
 from repro.storage.database import (
     LABEL_FETCH_CHUNK,
@@ -72,11 +74,6 @@ from repro.workflow.serialization import (
     specification_to_json,
 )
 from repro.workflow.specification import WorkflowSpecification
-
-try:  # numpy accelerates the streaming label arrays but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 __all__ = [
     "ProvenanceStore",
@@ -98,123 +95,6 @@ PathLike = Union[str, Path]
 #: and kernel are rebuilt from SQL on the next query), bounding store memory
 #: on workloads that sweep across many runs
 STORED_RUN_CACHE_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class RunLabelArrays:
-    """One stored run's label columns as parallel arrays, in handle order.
-
-    This is the streaming form the cross-run sweep consumes: no
-    :class:`~repro.skeleton.labels.RunLabel` objects, no interner, no spec
-    label resolution — just the three context-coordinate columns (numpy
-    ``int64`` arrays when numpy is installed, ``array('q')`` otherwise),
-    the parallel origin-module names, and the ``(module, instance)``
-    executions for reporting.  Row order follows the persisted interner
-    (the ``vertex_id`` column), like every other handle surface.
-    """
-
-    run_id: int
-    executions: list[tuple[str, int]]
-    q1: Sequence[int]
-    q2: Sequence[int]
-    q3: Sequence[int]
-    origins: list[str]
-
-    def __len__(self) -> int:
-        return len(self.executions)
-
-
-def load_label_arrays(
-    connection: sqlite3.Connection, run_ids: Sequence[int]
-) -> dict[int, RunLabelArrays]:
-    """Fetch many runs' label columns over *connection*, one scan per chunk.
-
-    The connection-agnostic core of
-    :meth:`ProvenanceStore.run_label_arrays_many`: the parallel cross-run
-    executor calls it from worker threads/processes over **their own**
-    read-only connections to the store file, so the dominant per-run cost
-    (the SQL fetch plus the column transpose) parallelizes instead of
-    serializing on the store's single connection.  Each chunk of runs is
-    one ``run_id IN`` query ordered by ``(run_id, vertex_id)``, sliced at
-    the run boundaries; with numpy the per-run coordinate arrays are
-    zero-copy views into one chunk-wide array.  Run ids without rows yield
-    empty arrays — existence policy is the caller's.
-    """
-    fault_point("store.load_label_arrays")
-    distinct: list[int] = []
-    seen: set[int] = set()
-    for run_id in run_ids:
-        run_id = int(run_id)
-        if run_id not in seen:
-            seen.add(run_id)
-            distinct.append(run_id)
-    arrays: dict[int, RunLabelArrays] = {}
-    for chunk, placeholders in iter_value_chunks(distinct, columns_per_row=1):
-        cursor = connection.execute(
-            # the skeleton column is not fetched: the store persists the
-            # origin module name there (see add_labeled_run), so the
-            # module column already carries every origin a sweep needs
-            "SELECT run_id, module, instance, q1, q2, q3 FROM run_labels "
-            f"WHERE run_id IN ({placeholders}) "
-            "ORDER BY run_id, (vertex_id IS NULL), vertex_id, module, instance",
-            chunk,
-        )
-        # plain tuples instead of sqlite3.Row: this path exists to
-        # stream, so skip the per-row wrapper the rest of the store wants
-        cursor.row_factory = None
-        rows = cursor.fetchall()
-        if rows:
-            # one C-level transpose per chunk; the column tuples feed the
-            # array constructors without a Python-level row visit each
-            rid_col, modules, instances, q1_col, q2_col, q3_col = zip(*rows)
-        else:
-            rid_col = modules = instances = q1_col = q2_col = q3_col = ()
-        count = len(rows)
-        if _np is not None:
-            rid = _np.fromiter(rid_col, dtype=_np.int64, count=count)
-            q1_all = _np.fromiter(q1_col, dtype=_np.int64, count=count)
-            q2_all = _np.fromiter(q2_col, dtype=_np.int64, count=count)
-            q3_all = _np.fromiter(q3_col, dtype=_np.int64, count=count)
-
-            def _bounds(run_id: int) -> tuple[int, int]:
-                return (
-                    int(_np.searchsorted(rid, run_id, side="left")),
-                    int(_np.searchsorted(rid, run_id, side="right")),
-                )
-
-            def _coords(lo: int, hi: int):
-                # slices of the chunk-wide arrays: zero-copy views
-                return q1_all[lo:hi], q2_all[lo:hi], q3_all[lo:hi]
-
-        else:
-            from bisect import bisect_left, bisect_right
-
-            rid_list = list(rid_col)
-            q1_arr = array("q", q1_col)
-            q2_arr = array("q", q2_col)
-            q3_arr = array("q", q3_col)
-
-            def _bounds(run_id: int) -> tuple[int, int]:
-                return (
-                    bisect_left(rid_list, run_id),
-                    bisect_right(rid_list, run_id),
-                )
-
-            def _coords(lo: int, hi: int):
-                return q1_arr[lo:hi], q2_arr[lo:hi], q3_arr[lo:hi]
-
-        for run_id in chunk:
-            lo, hi = _bounds(run_id)
-            q1, q2, q3 = _coords(lo, hi)
-            arrays[run_id] = RunLabelArrays(
-                run_id=run_id,
-                executions=list(zip(modules[lo:hi], instances[lo:hi])),
-                q1=q1,
-                q2=q2,
-                q3=q3,
-                origins=list(modules[lo:hi]),
-            )
-    return arrays
 
 
 def insert_specification(
@@ -363,6 +243,9 @@ class ProvenanceStore(WorkerPoolOwner):
         # LRU-bounded: one entry per stored specification+scheme, and a
         # cross-run sweep needs all of a spec's runs to hit the same entry.
         self._spec_kernel_cache: dict[tuple[int, str], SpecKernel] = {}
+        # Resident label columns of the runs cross-run queries read (see
+        # repro.storage.columns): filled on first read, dropped on writes.
+        self._label_columns = LabelColumnCache()
         self._session = None
         self._closed = False
         # Lifetime counters behind ProvenanceSession.cache_stats(): how many
@@ -525,10 +408,11 @@ class ProvenanceStore(WorkerPoolOwner):
                 "WHERE run_id = ?",
                 (run_to_json(run), run.vertex_count, run.edge_count, run_id),
             )
-        # the cached label view and its compiled engine describe the
-        # pre-update run; drop both so the next query reloads from SQL
+        # the cached label view, its compiled engine and its label columns
+        # describe the pre-update run; drop them so the next query reloads
         self._stored_run_cache.pop(run_id, None)
         self._engine_cache.pop(run_id, None)
+        self._label_columns.discard(run_id)
         return len(changed)
 
     def get_run(self, run_id: int) -> WorkflowRun:
@@ -591,34 +475,39 @@ class ProvenanceStore(WorkerPoolOwner):
         return kernel
 
     def run_label_arrays(self, run_id: int) -> RunLabelArrays:
-        """Stream one run's label columns out of SQL as parallel arrays.
-
-        One ``fetchall`` in persisted-handle order, three array fills — no
-        per-row label objects.  This is the per-run payload of a cross-run
-        sweep: the arrays go straight through the shared
-        :meth:`spec_kernel`.
-        """
+        """One run's label columns (see :meth:`run_label_arrays_many`)."""
         return self.run_label_arrays_many([run_id])[run_id]
 
     def run_label_arrays_many(
-        self, run_ids: Sequence[int]
+        self, run_ids: Sequence[int], table: Optional[ModuleTable] = None
     ) -> dict[int, RunLabelArrays]:
-        """Stream many runs' label columns with one ordered SQL scan per chunk.
+        """Many runs' label columns, served from the resident cache.
 
-        The multi-run form of :meth:`run_label_arrays` and the prefetch
-        behind cross-run execution: instead of re-opening a cursor per run,
-        each chunk of runs is fetched with a **single** ``run_id IN``
-        query ordered by ``(run_id, vertex_id)`` and sliced in memory at
-        the run boundaries (see :func:`load_label_arrays`).  Unknown run
-        ids raise :class:`~repro.exceptions.StorageError`, like the
-        single-run path.
+        The per-run payload of every cross-run query.  Each run is read
+        from SQL the first time only — missing runs with one ordered
+        ``run_id IN`` scan per chunk (:func:`load_label_arrays`), encoding
+        module names against *table* (a spec kernel's ``module_table``) —
+        and then kept, read-only, until a write invalidates it:
+        ``delete_run`` and ``update_run_labels`` drop their run, and a
+        commit by any other connection (seen once per call through
+        ``PRAGMA data_version``) drops everything.  Unknown run ids raise
+        :class:`~repro.exceptions.StorageError`.
         """
         self._require_open()
-        arrays = load_label_arrays(self._connection, run_ids)
-        for run_id, run_arrays in arrays.items():
-            if not len(run_arrays):
-                self._run_row(run_id)  # raise when the run does not exist
-        return arrays
+        cache = self._label_columns
+        token = cache.sync(
+            self._connection.execute("PRAGMA data_version").fetchone()[0]
+        )
+        distinct = list(dict.fromkeys(int(run_id) for run_id in run_ids))
+        found, missing = cache.lookup(distinct)
+        if missing:
+            loaded = load_label_arrays(self._connection, missing, table)
+            for run_id, run_arrays in loaded.items():
+                if not len(run_arrays):
+                    self._run_row(run_id)  # raise when the run does not exist
+            cache.fill(token, loaded)
+            found.update(loaded)
+        return {run_id: found[run_id] for run_id in distinct}
 
     def session(self):
         """The store's :class:`~repro.api.ProvenanceSession` (built lazily).
@@ -1063,6 +952,11 @@ class ProvenanceStore(WorkerPoolOwner):
             raise StorageError(f"no run with id {run_id}")
         self._stored_run_cache.pop(run_id, None)
         self._engine_cache.pop(run_id, None)
+        self._label_columns.discard(run_id)
+
+    def invalidate_label_columns(self) -> None:
+        """Drop every cached label column (a write the store cannot scope)."""
+        self._label_columns.clear()
 
     def cache_stats(self) -> dict:
         """Occupancy and eviction counters of the store's query caches.
@@ -1070,7 +964,9 @@ class ProvenanceStore(WorkerPoolOwner):
         ``evictions`` counts stored-run label caches pushed out of the LRU
         (bounded at ``limit`` = :data:`STORED_RUN_CACHE_LIMIT`); each
         eviction means the next query against that run pays its SQL fetch
-        and kernel compilation again.  Surfaced through
+        and kernel compilation again.  ``label_columns`` reports the
+        resident label-column cache behind cross-run queries (see
+        :class:`~repro.storage.columns.LabelColumnCache`).  Surfaced through
         :meth:`ProvenanceSession.cache_stats`.
         """
         stats = {
@@ -1084,6 +980,7 @@ class ProvenanceStore(WorkerPoolOwner):
                 "kernel": dict(self._sweep_paths["kernel"]),
             },
             "degraded": dict(self._degraded),
+            "label_columns": self._label_columns.stats(),
         }
         pools = self.pool_stats()
         if pools:

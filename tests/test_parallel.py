@@ -72,16 +72,30 @@ class TestResolveWorkers:
         assert resolve_workers(None, PARALLEL_MIN_RUNS - 1) == 1
         assert resolve_workers(None, 0) == 1
 
-    def test_auto_sized_from_cpu_count(self, monkeypatch):
+    def test_auto_in_process_explicit_honoured_replica_fan_floors(
+        self, monkeypatch, parallel_store, anchor
+    ):
         import repro.engine.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 6)
-        assert resolve_workers(None, 100) == 6
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
-        assert resolve_workers(None, 100) == MAX_AUTO_WORKERS
-        # a single core never pays for a pool
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-        assert resolve_workers(None, 100) == 1
+        # auto is the in-process path on every host size
+        for cpus in (1, 2, 6, 64):
+            monkeypatch.setattr(parallel.os, "cpu_count", lambda cpus=cpus: cpus)
+            assert resolve_workers(None, 100) == 1
+        # an explicit request is honoured, even beyond the auto cap
+        assert resolve_workers(6, 100) == 6
+        assert resolve_workers(MAX_AUTO_WORKERS + 4, 100) == MAX_AUTO_WORKERS + 4
+        # an attached replica fan still floors the auto count of a plan
+        store, run_ids, spec = parallel_store
+        monkeypatch.setattr(
+            type(store), "read_fan_of", lambda self, name: 3, raising=False
+        )
+        session = ProvenanceSession(store)
+        for query in (
+            CrossRunQuery(spec.name, anchor),
+            CrossRunBatchQuery(spec.name, [(anchor, anchor)]),
+        ):
+            workers = session.compile(query)._executor.workers
+            assert resolve_workers(workers, len(run_ids)) == 3
 
 
 class TestExecutorModes:
