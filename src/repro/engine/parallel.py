@@ -515,6 +515,14 @@ class CrossRunExecutor:
             return 1
         return workers
 
+    def in_process(self, run_count: int) -> bool:
+        """Whether a query over *run_count* runs reads the resident columns.
+
+        True when the executor evaluates in-process (:meth:`_run_sequential`)
+        rather than fanning out to pool workers with private connections.
+        """
+        return self._parallel_workers(run_count) <= 1
+
     def _resolve_pool(self, kind: Optional[str] = None) -> Optional[PersistentWorkerPool]:
         """The persistent pool parallel tasks run on (``None`` = ephemeral).
 

@@ -48,11 +48,13 @@ class VertexInterner:
     __slots__ = ("_id_of", "_vertex_at")
 
     def __init__(self, vertices: Optional[Iterable[Vertex]] = None) -> None:
-        self._id_of: dict[Vertex, int] = {}
-        self._vertex_at: list[Vertex] = []
-        if vertices is not None:
-            for vertex in vertices:
-                self.intern(vertex)
+        # bulk form of repeated intern(): first occurrence wins, in order
+        self._vertex_at: list[Vertex] = (
+            [] if vertices is None else list(dict.fromkeys(vertices))
+        )
+        self._id_of: dict[Vertex, int] = {
+            vertex: identifier for identifier, vertex in enumerate(self._vertex_at)
+        }
 
     def intern(self, vertex: Vertex) -> int:
         """Return the identifier of *vertex*, assigning the next free one if new."""

@@ -25,16 +25,27 @@ Contexts are assigned on the way (deepest copy first), and whatever remains
 uncovered at the end belongs to the ``G+`` root.  The procedure doubles as a
 conformance check: runs that do not derive from the specification fail with
 :class:`~repro.exceptions.PlanConstructionError`.
+
+The builder works on integer vertex handles — the run graph's insertion
+order, as :meth:`~repro.graphs.digraph.DiGraph.intern_vertices` assigns
+them — over its own adjacency sets, so the run graph itself is never
+copied or touched.  Run vertices are bucketed by module once, and a
+region's candidates are read from the buckets of its dominating set
+(dead vertices are compacted out as they are met), so the total work is
+linear in the run size for a fixed hierarchy rather than one scan of every
+surviving vertex per region.  Contraction marks vertices dead and unlinks
+them from their neighbours; pending ``-`` nodes are indexed by the region
+expected to adopt them.  Everything is visited in handle order and ``-``
+nodes are adopted in creation order, so the plan — sibling order included
+— and hence the run labels are a function of the specification and the
+run alone, independent of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.exceptions import PlanConstructionError
-from repro.graphs.digraph import DiGraph
-from repro.graphs.traversal import weakly_connected_components
 from repro.workflow.hierarchy import ROOT_NAME
 from repro.workflow.plan import ExecutionPlan, PlanNodeKind
 from repro.workflow.run import RunVertex, WorkflowRun
@@ -42,6 +53,9 @@ from repro.workflow.specification import WorkflowSpecification
 from repro.workflow.subgraphs import ResolvedRegion
 
 __all__ = ["PlanConstructionResult", "construct_plan"]
+
+#: ``mark`` states of a handle while one region is processed
+_OUTSIDE, _CANDIDATE, _MEMBER = 0, 1, 2
 
 
 @dataclass
@@ -53,11 +67,16 @@ class PlanConstructionResult:
     plan:
         The reconstructed execution plan ``TR``.
     context:
-        The context function ``C``: run vertex -> ``+`` plan node identifier.
+        The context function ``C``: run vertex -> ``+`` plan node identifier,
+        in run-graph insertion order.
+    context_ids:
+        The same function indexed by vertex handle: ``context_ids[h]`` is the
+        context of the ``h``-th vertex of ``run.graph.vertices()``.
     """
 
     plan: ExecutionPlan
     context: dict[RunVertex, int]
+    context_ids: list[int]
 
 
 def construct_plan(spec: WorkflowSpecification, run: WorkflowRun) -> PlanConstructionResult:
@@ -77,13 +96,34 @@ class _PlanBuilder:
         self.spec = spec
         self.run = run
         self.hierarchy = spec.hierarchy
-        self.work: DiGraph = run.graph.copy()
+        interner = run.graph.intern_vertices()
+        self.vertices: list[RunVertex] = interner.vertices()
+        id_of = interner.id_map.__getitem__
+        count = len(self.vertices)
+        self.module_of: list[str] = [vertex.module for vertex in self.vertices]
+        # the working graph: adjacency sets over handles, edited in place by
+        # contractions (the run graph itself is never touched)
+        graph = run.graph
+        self.succ: list[set[int]] = [
+            set(map(id_of, graph.successors(vertex))) for vertex in self.vertices
+        ]
+        self.pred: list[set[int]] = [
+            set(map(id_of, graph.predecessors(vertex))) for vertex in self.vertices
+        ]
+        self.alive = bytearray(b"\x01") * count
+        self.mark = bytearray(count)
+        # copy index of each member of the region being processed, else -1
+        self.owner: list[int] = [-1] * count
+        self.buckets: dict[str, list[int]] = {}
+        for handle, module in enumerate(self.module_of):
+            self.buckets.setdefault(module, []).append(handle)
         self.plan = ExecutionPlan()
         self.root_id = self.plan.add_root()
-        self.context: dict[RunVertex, int] = {}
-        # Special edges carrying not-yet-attached group nodes:
-        # edge -> list of (minus node id, parent region name expected to adopt it)
-        self.pending: dict[tuple, list[tuple[int, str]]] = {}
+        self.context: list[int] = [-1] * count
+        # not-yet-attached group nodes, by the region expected to adopt them:
+        # region name -> [(minus node id, special edge tail, head)] in
+        # creation order
+        self.pending: dict[str, list[tuple[int, int, int]]] = {}
 
     # ------------------------------------------------------------------
     # top level
@@ -93,49 +133,122 @@ class _PlanBuilder:
             if hnode.is_root:
                 continue
             region = hnode.region
-            parent_name = hnode.parent
-            candidates = [
-                v for v in self.work.vertices() if v.module in region.dom_set
-            ]
+            candidates = self._candidates(region)
             if not candidates:
                 raise PlanConstructionError(
                     f"run {self.run.name!r} contains no copy of region {region.name!r}"
                 )
-            components = weakly_connected_components(self.work, restrict_to=candidates)
+            components = self._components(candidates)
             if region.is_fork:
-                self._process_fork(region, parent_name, components)
+                self._process_fork(region, hnode.parent, components)
             else:
-                self._process_loop(region, parent_name, components)
+                self._process_loop(region, hnode.parent, components)
+            for handle in candidates:
+                self.mark[handle] = _OUTSIDE
+                self.owner[handle] = -1
 
         self._finish_root()
         self.plan.validate()
-        return PlanConstructionResult(plan=self.plan, context=self.context)
+        context = dict(zip(self.vertices, self.context))
+        return PlanConstructionResult(
+            plan=self.plan, context=context, context_ids=self.context
+        )
+
+    def _candidates(self, region: ResolvedRegion) -> list[int]:
+        """Live vertices whose origin lies in the region's dominating set."""
+        alive = self.alive
+        buckets = self.buckets
+        merged: list[int] = []
+        for module in region.dom_set:
+            bucket = buckets.get(module)
+            if not bucket:
+                continue
+            live = [handle for handle in bucket if alive[handle]]
+            if len(live) != len(bucket):
+                buckets[module] = live
+            merged.extend(live)
+        merged.sort()
+        return merged
+
+    def _components(self, candidates: list[int]) -> list[list[int]]:
+        """Weakly connected components of the candidates, in handle order.
+
+        Leaves every candidate marked ``_MEMBER``, so later steps test
+        membership in the region with one byte read.
+        """
+        mark, succ, pred = self.mark, self.succ, self.pred
+        for handle in candidates:
+            mark[handle] = _CANDIDATE
+        components: list[list[int]] = []
+        for start in candidates:
+            if mark[start] != _CANDIDATE:
+                continue
+            mark[start] = _MEMBER
+            component = [start]
+            # breadth-first: the loop also visits the handles it appends
+            for current in component:
+                for neighbour in succ[current]:
+                    if mark[neighbour] == _CANDIDATE:
+                        mark[neighbour] = _MEMBER
+                        component.append(neighbour)
+                for neighbour in pred[current]:
+                    if mark[neighbour] == _CANDIDATE:
+                        mark[neighbour] = _MEMBER
+                        component.append(neighbour)
+            components.append(component)
+        return components
+
+    def _assign_context(self, copy_vertices: list[int], plus_id: int) -> None:
+        context = self.context
+        for handle in copy_vertices:
+            if context[handle] < 0:
+                context[handle] = plus_id
+
+    def _contract(self, doomed: list[int], tail: int, head: int) -> None:
+        """Remove *doomed* and stand in the special edge ``tail -> head``."""
+        alive, succ, pred = self.alive, self.succ, self.pred
+        for handle in doomed:
+            alive[handle] = 0
+            for successor in succ[handle]:
+                pred[successor].discard(handle)
+            for predecessor in pred[handle]:
+                succ[predecessor].discard(handle)
+            succ[handle].clear()
+            pred[handle].clear()
+        succ[tail].add(head)
+        pred[head].add(tail)
 
     def _finish_root(self) -> None:
         """Assign remaining contexts to ``G+`` and adopt top-level groups."""
-        for vertex in self.work.vertices():
-            self.context.setdefault(vertex, self.root_id)
-        unattached: list[tuple] = []
-        for edge, entries in self.pending.items():
-            still_waiting: list[tuple[int, str]] = []
-            for minus_id, parent_name in entries:
-                if parent_name == ROOT_NAME:
-                    if not self.work.has_edge(*edge):
-                        raise PlanConstructionError(
-                            f"special edge {edge!r} for region group {minus_id} vanished "
-                            "before it could be attached to the root"
-                        )
-                    self.plan.attach(minus_id, self.root_id)
-                else:
-                    still_waiting.append((minus_id, parent_name))
-            if still_waiting:
-                unattached.append(edge)
+        context = self.context
+        for handle in range(len(context)):
+            if context[handle] < 0:
+                context[handle] = self.root_id
+        alive = self.alive
+        for minus_id, tail, head in self.pending.pop(ROOT_NAME, ()):
+            if not (alive[tail] and alive[head]):
+                raise PlanConstructionError(
+                    f"special edge {self._edge(tail, head)!r} for region group "
+                    f"{minus_id} vanished before it could be attached to the root"
+                )
+            self.plan.attach(minus_id, self.root_id)
+        unattached = [
+            self._edge(tail, head)
+            for entries in self.pending.values()
+            for _, tail, head in entries
+        ]
         if unattached:
             raise PlanConstructionError(
                 f"some fork/loop executions could not be attached to an enclosing "
                 f"copy: special edges {unattached!r}; the run does not conform to "
                 f"the specification"
             )
+
+    def _edge(self, tail: int, head: int) -> tuple[RunVertex, RunVertex]:
+        return (self.vertices[tail], self.vertices[head])
+
+    def _names(self, handles) -> list[str]:
+        return sorted(str(self.vertices[handle]) for handle in handles)
 
     # ------------------------------------------------------------------
     # fork regions
@@ -144,64 +257,63 @@ class _PlanBuilder:
         self,
         region: ResolvedRegion,
         parent_name: str,
-        components: list[set],
+        components: list[list[int]],
     ) -> None:
-        copies: list[tuple[set, RunVertex, RunVertex]] = []
+        groups: dict[tuple[int, int], list[list[int]]] = {}
         for component in components:
-            source, sink = self._fork_copy_terminals(region, component)
-            copies.append((component, source, sink))
+            terminals = self._fork_copy_terminals(region, component)
+            groups.setdefault(terminals, []).append(component)
 
-        groups: dict[tuple[RunVertex, RunVertex], list[set]] = {}
-        for component, source, sink in copies:
-            groups.setdefault((source, sink), []).append(component)
-
-        for (source, sink), group_components in groups.items():
+        copies: list[tuple[int, list[int], tuple[int, int]]] = []
+        minus_ids: list[int] = []
+        for terminals, group_components in groups.items():
             minus_id = self.plan.add_node(PlanNodeKind.FORK_GROUP, region.name)
+            minus_ids.append(minus_id)
             for component in group_components:
                 plus_id = self.plan.add_node(
                     PlanNodeKind.FORK_COPY, region.name, parent=minus_id
                 )
-                self._adopt_pending(
-                    plus_id,
-                    region.name,
-                    scan_vertices=component,
-                    allowed_vertices=component | {source, sink},
-                )
-                for vertex in component:
-                    self.context.setdefault(vertex, plus_id)
+                copies.append((plus_id, component, terminals))
+                self._assign_context(component, plus_id)
+        self._adopt_pending(region.name, copies)
+
+        waiting = self.pending.setdefault(parent_name, [])
+        for minus_id, ((source, sink), group_components) in zip(
+            minus_ids, groups.items()
+        ):
             # Contract: drop every internal vertex of the group and stand in a
             # single special edge from the shared source to the shared sink.
             for component in group_components:
-                self.work.remove_vertices(component)
-            if not self.work.has_edge(source, sink):
-                self.work.add_edge(source, sink)
-            self.pending.setdefault((source, sink), []).append((minus_id, parent_name))
+                self._contract(component, source, sink)
+            waiting.append((minus_id, source, sink))
 
     def _fork_copy_terminals(
-        self, region: ResolvedRegion, component: set
-    ) -> tuple[RunVertex, RunVertex]:
+        self, region: ResolvedRegion, component: list[int]
+    ) -> tuple[int, int]:
         """Find the shared source and sink of one fork copy."""
-        outside_predecessors: set = set()
-        outside_successors: set = set()
-        for vertex in component:
-            for predecessor in self.work.predecessors(vertex):
-                if predecessor not in component:
+        mark, succ, pred = self.mark, self.succ, self.pred
+        outside_predecessors: set[int] = set()
+        outside_successors: set[int] = set()
+        for handle in component:
+            for predecessor in pred[handle]:
+                if mark[predecessor] == _OUTSIDE:
                     outside_predecessors.add(predecessor)
-            for successor in self.work.successors(vertex):
-                if successor not in component:
+            for successor in succ[handle]:
+                if mark[successor] == _OUTSIDE:
                     outside_successors.add(successor)
         if len(outside_predecessors) != 1 or len(outside_successors) != 1:
             raise PlanConstructionError(
                 f"fork {region.name!r}: a copy is not self-contained in the run "
-                f"(outside predecessors {sorted(map(str, outside_predecessors))}, "
-                f"outside successors {sorted(map(str, outside_successors))})"
+                f"(outside predecessors {self._names(outside_predecessors)}, "
+                f"outside successors {self._names(outside_successors)})"
             )
-        source = next(iter(outside_predecessors))
-        sink = next(iter(outside_successors))
-        if source.module != region.source or sink.module != region.sink:
+        (source,) = outside_predecessors
+        (sink,) = outside_successors
+        if self.module_of[source] != region.source or self.module_of[sink] != region.sink:
             raise PlanConstructionError(
-                f"fork {region.name!r}: copy terminals {source}/{sink} do not "
-                f"originate from {region.source!r}/{region.sink!r}"
+                f"fork {region.name!r}: copy terminals {self.vertices[source]}/"
+                f"{self.vertices[sink]} do not originate from "
+                f"{region.source!r}/{region.sink!r}"
             )
         return source, sink
 
@@ -212,117 +324,106 @@ class _PlanBuilder:
         self,
         region: ResolvedRegion,
         parent_name: str,
-        components: list[set],
+        components: list[list[int]],
     ) -> None:
+        copies: list[tuple[int, list[int], tuple[()]]] = []
+        contractions: list[tuple[int, list[int], int, int]] = []
         for component in components:
-            serial_edges = self._serial_edges(region, component)
-            copies = self._split_component(component, serial_edges)
-            ordered = self._order_copies(region, copies, serial_edges)
-
+            ordered = self._split_chain(region, component)
             minus_id = self.plan.add_node(PlanNodeKind.LOOP_GROUP, region.name)
             for copy_vertices in ordered:
                 plus_id = self.plan.add_node(
                     PlanNodeKind.LOOP_COPY, region.name, parent=minus_id
                 )
-                self._adopt_pending(
-                    plus_id,
-                    region.name,
-                    scan_vertices=copy_vertices,
-                    allowed_vertices=copy_vertices,
-                )
-                for vertex in copy_vertices:
-                    self.context.setdefault(vertex, plus_id)
-
+                copies.append((plus_id, copy_vertices, ()))
+                self._assign_context(copy_vertices, plus_id)
             first_source = self._unique_by_module(region, ordered[0], region.source)
             last_sink = self._unique_by_module(region, ordered[-1], region.sink)
-            removable = set(component) - {first_source, last_sink}
-            self.work.remove_vertices(removable)
-            if not self.work.has_edge(first_source, last_sink):
-                self.work.add_edge(first_source, last_sink)
-            self.pending.setdefault((first_source, last_sink), []).append(
-                (minus_id, parent_name)
-            )
+            contractions.append((minus_id, component, first_source, last_sink))
+        self._adopt_pending(region.name, copies)
 
-    def _serial_edges(self, region: ResolvedRegion, component: set) -> set[tuple]:
-        """Edges from a sink-origin vertex to a source-origin vertex inside the chain."""
-        serial: set[tuple] = set()
-        for vertex in component:
-            if vertex.module != region.sink:
+        waiting = self.pending.setdefault(parent_name, [])
+        for minus_id, component, first_source, last_sink in contractions:
+            doomed = [h for h in component if h != first_source and h != last_sink]
+            self._contract(doomed, first_source, last_sink)
+            waiting.append((minus_id, first_source, last_sink))
+
+    def _split_chain(self, region: ResolvedRegion, component: list[int]) -> list[list[int]]:
+        """Cut a loop chain at its serial edges and order the copies along them.
+
+        Serial-composition edges run from a sink-origin vertex to a
+        source-origin vertex inside the chain.  Uses ``owner`` for the local
+        copy index of each vertex; the caller's cleanup resets it.
+        """
+        mark, owner, succ, pred = self.mark, self.owner, self.succ, self.pred
+        module_of = self.module_of
+        source, sink = region.source, region.sink
+        copies: list[list[int]] = []
+        for start in component:
+            if owner[start] >= 0:
                 continue
-            for successor in self.work.successors(vertex):
-                if successor in component and successor.module == region.source:
-                    serial.add((vertex, successor))
-        return serial
-
-    def _split_component(self, component: set, serial_edges: set[tuple]) -> list[set]:
-        """Split a loop chain into individual copies by cutting the serial edges."""
-        remaining = set(component)
-        copies: list[set] = []
-        while remaining:
-            start = next(iter(remaining))
-            copy = {start}
-            remaining.discard(start)
-            queue: deque = deque([start])
-            while queue:
-                current = queue.popleft()
-                neighbors = [
-                    n
-                    for n in self.work.successors(current)
-                    if (current, n) not in serial_edges
-                ] + [
-                    n
-                    for n in self.work.predecessors(current)
-                    if (n, current) not in serial_edges
-                ]
-                for neighbor in neighbors:
-                    if neighbor in remaining:
-                        remaining.discard(neighbor)
-                        copy.add(neighbor)
-                        queue.append(neighbor)
-            copies.append(copy)
-        return copies
-
-    def _order_copies(
-        self,
-        region: ResolvedRegion,
-        copies: list[set],
-        serial_edges: set[tuple],
-    ) -> list[set]:
-        """Order loop copies along the serial-composition edges."""
+            index = len(copies)
+            owner[start] = index
+            copy_vertices = [start]
+            for current in copy_vertices:
+                cut_forward = module_of[current] == sink
+                cut_backward = module_of[current] == source
+                for successor in succ[current]:
+                    if (
+                        mark[successor] == _MEMBER
+                        and owner[successor] < 0
+                        and not (cut_forward and module_of[successor] == source)
+                    ):
+                        owner[successor] = index
+                        copy_vertices.append(successor)
+                for predecessor in pred[current]:
+                    if (
+                        mark[predecessor] == _MEMBER
+                        and owner[predecessor] < 0
+                        and not (cut_backward and module_of[predecessor] == sink)
+                    ):
+                        owner[predecessor] = index
+                        copy_vertices.append(predecessor)
+            copies.append(copy_vertices)
         if len(copies) == 1:
             return copies
-        copy_of: dict[RunVertex, int] = {}
-        for index, copy_vertices in enumerate(copies):
-            for vertex in copy_vertices:
-                copy_of[vertex] = index
 
-        next_of: dict[int, int] = {}
-        has_previous: set[int] = set()
-        for tail, head in serial_edges:
-            tail_copy, head_copy = copy_of[tail], copy_of[head]
-            if tail_copy == head_copy or tail_copy in next_of or head_copy in has_previous:
-                raise PlanConstructionError(
-                    f"loop {region.name!r}: serial edges do not form a simple chain"
-                )
-            next_of[tail_copy] = head_copy
-            has_previous.add(head_copy)
+        next_of = [-1] * len(copies)
+        has_previous = bytearray(len(copies))
+        for tail in component:
+            if module_of[tail] != sink:
+                continue
+            for head in succ[tail]:
+                if mark[head] != _MEMBER or module_of[head] != source:
+                    continue
+                tail_copy, head_copy = owner[tail], owner[head]
+                if (
+                    tail_copy == head_copy
+                    or next_of[tail_copy] >= 0
+                    or has_previous[head_copy]
+                ):
+                    raise PlanConstructionError(
+                        f"loop {region.name!r}: serial edges do not form a simple chain"
+                    )
+                next_of[tail_copy] = head_copy
+                has_previous[head_copy] = 1
 
-        start_candidates = [i for i in range(len(copies)) if i not in has_previous]
+        start_candidates = [i for i in range(len(copies)) if not has_previous[i]]
         if len(start_candidates) != 1:
             raise PlanConstructionError(
                 f"loop {region.name!r}: could not identify the first copy of the chain"
             )
-        order: list[set] = []
+        order: list[list[int]] = []
         current = start_candidates[0]
-        seen: set[int] = set()
+        seen = bytearray(len(copies))
         while True:
-            if current in seen:
+            if seen[current]:
                 raise PlanConstructionError(
                     f"loop {region.name!r}: serial edges form a cycle"
                 )
-            seen.add(current)
+            seen[current] = 1
             order.append(copies[current])
-            if current not in next_of:
+            if next_of[current] < 0:
                 break
             current = next_of[current]
         if len(order) != len(copies):
@@ -332,9 +433,10 @@ class _PlanBuilder:
         return order
 
     def _unique_by_module(
-        self, region: ResolvedRegion, vertices: set, module: str
-    ) -> RunVertex:
-        matches = [v for v in vertices if v.module == module]
+        self, region: ResolvedRegion, copy_vertices: list[int], module: str
+    ) -> int:
+        module_of = self.module_of
+        matches = [h for h in copy_vertices if module_of[h] == module]
         if len(matches) != 1:
             raise PlanConstructionError(
                 f"loop {region.name!r}: expected exactly one {module!r} execution in a "
@@ -347,40 +449,38 @@ class _PlanBuilder:
     # ------------------------------------------------------------------
     def _adopt_pending(
         self,
-        plus_id: int,
         region_name: str,
-        *,
-        scan_vertices: set,
-        allowed_vertices: set,
+        copies: list[tuple[int, list[int], tuple]],
     ) -> None:
-        """Attach child group nodes whose special edge lies inside this copy.
+        """Attach the child group nodes whose special edge lies inside a copy.
 
-        A pending ``-`` node is adopted only if its special edge has both
-        endpoints inside the copy (including the copy's terminals for forks)
-        and its region's hierarchy parent is the region of this ``+`` copy —
-        the latter guards against shared boundary vertices of unrelated
-        regions.
+        *copies* lists ``(plus node id, copy vertices, terminals)`` for every
+        copy of the region; fork copies pass their shared source and sink as
+        terminals, loop copies none.  A pending ``-`` node waiting for this
+        region is adopted by the copy owning one endpoint of its special
+        edge, provided the other endpoint also lies inside that copy or is
+        one of its terminals; groups are attached in creation order.  What
+        stays unadopted can never be adopted later and is reported by
+        :meth:`_finish_root`.
         """
-        for vertex in scan_vertices:
-            incident = [
-                (predecessor, vertex) for predecessor in self.work.predecessors(vertex)
-            ] + [
-                (vertex, successor) for successor in self.work.successors(vertex)
-            ]
-            for edge in incident:
-                entries = self.pending.get(edge)
-                if not entries:
+        entries = self.pending.pop(region_name, None)
+        if not entries:
+            return
+        owner = self.owner
+        for index, (_, copy_vertices, _) in enumerate(copies):
+            for handle in copy_vertices:
+                owner[handle] = index
+        unadopted: list[tuple[int, int, int]] = []
+        for entry in entries:
+            minus_id, tail, head = entry
+            index = owner[tail] if owner[tail] >= 0 else owner[head]
+            if index >= 0:
+                plus_id, _, terminals = copies[index]
+                if (owner[tail] == index or tail in terminals) and (
+                    owner[head] == index or head in terminals
+                ):
+                    self.plan.attach(minus_id, plus_id)
                     continue
-                tail, head = edge
-                if tail not in allowed_vertices or head not in allowed_vertices:
-                    continue
-                keep: list[tuple[int, str]] = []
-                for minus_id, parent_name in entries:
-                    if parent_name == region_name:
-                        self.plan.attach(minus_id, plus_id)
-                    else:
-                        keep.append((minus_id, parent_name))
-                if keep:
-                    self.pending[edge] = keep
-                else:
-                    del self.pending[edge]
+            unadopted.append(entry)
+        if unadopted:
+            self.pending[region_name] = unadopted

@@ -65,14 +65,14 @@ def _traversal_positions(
     """Record positions of nonempty ``+`` nodes in one preorder traversal."""
 
     def child_order(node: PlanNode) -> list[int]:
-        if reverse_kind is not None and node.kind is reverse_kind:
-            return list(reversed(node.children))
-        return list(node.children)
+        if node.kind is reverse_kind:
+            return node.children[::-1]
+        return node.children
 
     positions: dict[int, int] = {}
     counter = 0
     for node in plan.iter_preorder(child_order):
-        if node.is_plus and node.node_id in nonempty:
+        if node.node_id in nonempty and node.is_plus:
             counter += 1
             positions[node.node_id] = counter
     return positions

@@ -403,9 +403,17 @@ class SkeletonLabeler:
             raise LabelingError("plan and context must be provided together")
 
         started = time.perf_counter()
+        vertices = run.graph.vertices()
         if plan is None:
             result = construct_plan(self.specification, run)
-            plan, context = result.plan, result.context
+            plan, context, context_ids = result.plan, result.context, result.context_ids
+        else:
+            try:
+                context_ids = [context[vertex] for vertex in vertices]
+            except KeyError as exc:
+                raise LabelingError(
+                    f"context assignment is missing run vertex {exc.args[0]!r}"
+                ) from None
         plan_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -413,17 +421,15 @@ class SkeletonLabeler:
         encoding_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        labels: dict[RunVertex, RunLabel] = {}
-        for vertex in run.graph.vertices():
-            try:
-                plus_node = context[vertex]
-            except KeyError:
-                raise LabelingError(
-                    f"context assignment is missing run vertex {vertex!r}"
-                ) from None
-            q1, q2, q3 = encoding[plus_node]
-            skeleton = self.spec_index.label_of(vertex.module)
-            labels[vertex] = RunLabel(q1=q1, q2=q2, q3=q3, skeleton=skeleton)
+        positions = encoding.positions
+        skeleton_of = {
+            module: self.spec_index.label_of(module)
+            for module in {vertex.module for vertex in vertices}
+        }
+        labels: dict[RunVertex, RunLabel] = {
+            vertex: RunLabel(*positions[plus_node], skeleton_of[vertex.module])
+            for vertex, plus_node in zip(vertices, context_ids)
+        }
         assignment_seconds = time.perf_counter() - started
 
         timings = LabelingTimings(

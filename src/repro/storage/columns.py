@@ -340,6 +340,11 @@ class LabelColumnCache:
             self.misses += len(missing)
         return found, missing
 
+    def resident(self, run_ids: Sequence[int]) -> bool:
+        """Whether every run of *run_ids* is cached; counts no hit or miss."""
+        with self._lock:
+            return all(run_id in self._entries for run_id in run_ids)
+
     def fill(self, token: int, arrays: dict[int, RunLabelArrays]) -> None:
         """Cache freshly loaded *arrays*, unless a write intervened."""
         with self._lock:

@@ -9,6 +9,7 @@ from typing import Union
 from repro.exceptions import StorageError
 from repro.faults import fault_point
 from repro.storage.schema import (
+    SCHEMA_DROPPED_INDEXES,
     SCHEMA_INDEX_STATEMENTS,
     SCHEMA_MIGRATIONS,
     SCHEMA_STATEMENTS,
@@ -129,7 +130,9 @@ def initialize_schema(connection: sqlite3.Connection) -> None:
 
     Databases written by earlier schema versions are migrated in place:
     columns added since (see :data:`~repro.storage.schema.SCHEMA_MIGRATIONS`)
-    are ``ALTER TABLE``-ed on, with ``NULL`` for pre-existing rows.
+    are ``ALTER TABLE``-ed on, with ``NULL`` for pre-existing rows, and
+    indexes retired since (:data:`~repro.storage.schema.SCHEMA_DROPPED_INDEXES`)
+    are dropped.
     """
     try:
         with connection:
@@ -148,6 +151,8 @@ def initialize_schema(connection: sqlite3.Connection) -> None:
             # ALTER TABLEs so a version-1 database migrates cleanly
             for statement in SCHEMA_INDEX_STATEMENTS:
                 connection.execute(statement)
+            for name in SCHEMA_DROPPED_INDEXES:
+                connection.execute(f"DROP INDEX IF EXISTS {name}")
             connection.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),

@@ -12,6 +12,7 @@ from __future__ import annotations
 __all__ = [
     "SCHEMA_STATEMENTS",
     "SCHEMA_INDEX_STATEMENTS",
+    "SCHEMA_DROPPED_INDEXES",
     "SCHEMA_MIGRATIONS",
     "SCHEMA_VERSION",
 ]
@@ -113,9 +114,6 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
     )
     """,
     """
-    CREATE INDEX IF NOT EXISTS idx_run_labels_run ON run_labels(run_id)
-    """,
-    """
     CREATE INDEX IF NOT EXISTS idx_data_items_run ON data_items(run_id)
     """,
     """
@@ -142,6 +140,12 @@ SCHEMA_INDEX_STATEMENTS: tuple[str, ...] = (
         ON run_labels(run_id, module, q1, q2, q3, instance, vertex_id)
     """,
 )
+
+#: indexes earlier schema versions created and upkeep now drops.
+#: ``idx_run_labels_run(run_id)`` duplicated the leading column of the
+#: ``run_labels`` primary key (and of both pushdown indexes), which already
+#: serve every run-scoped lookup and delete; it cost ~10 bytes per label row.
+SCHEMA_DROPPED_INDEXES: tuple[str, ...] = ("idx_run_labels_run",)
 
 #: columns added after schema version 1, applied with ``ALTER TABLE`` when an
 #: existing database predates them.  ``vertex_id`` (version 2) persists each

@@ -632,6 +632,16 @@ class ShardedProvenanceStore(WorkerPoolOwner):
             )
         return arrays
 
+    def label_columns_resident(self, run_ids: Sequence[int]) -> bool:
+        """Whether every run's owning shard has its label columns cached."""
+        by_shard: dict[int, list[int]] = {}
+        for run_id in run_ids:
+            by_shard.setdefault(self._shard_of_run(run_id), []).append(run_id)
+        return all(
+            self._stores[shard].label_columns_resident(shard_run_ids)
+            for shard, shard_run_ids in by_shard.items()
+        )
+
     # ------------------------------------------------------------------
     # the session surface (private plan entry points + deprecated shims)
     # ------------------------------------------------------------------

@@ -509,6 +509,18 @@ class ProvenanceStore(WorkerPoolOwner):
             found.update(loaded)
         return {run_id: found[run_id] for run_id in distinct}
 
+    def label_columns_resident(self, run_ids: Sequence[int]) -> bool:
+        """Whether every run of *run_ids* has its label columns cached.
+
+        Syncs ``PRAGMA data_version`` first, so columns another connection's
+        commit made stale never count as resident; a planner probe, so no
+        hit or miss is counted.
+        """
+        self._require_open()
+        cache = self._label_columns
+        cache.sync(self._connection.execute("PRAGMA data_version").fetchone()[0])
+        return cache.resident([int(run_id) for run_id in run_ids])
+
     def session(self):
         """The store's :class:`~repro.api.ProvenanceSession` (built lazily).
 

@@ -19,6 +19,7 @@ import pytest
 
 import repro.storage.database as database_module
 from repro.api import (
+    CrossRunBatchQuery,
     CrossRunQuery,
     DownstreamQuery,
     ProvenanceSession,
@@ -330,6 +331,118 @@ class TestCrossRunPlanner:
             session = ProvenanceSession(opened)
             with pytest.raises(QueryPlanError, match="tcm"):
                 session.run(CrossRunQuery(other.name, ("m0000", 1), pushdown="always"))
+
+
+def _interval_paths(store) -> tuple[int, int]:
+    paths = store.cache_stats()["pushdown"]
+    return paths["sql"].get("interval", 0), paths["kernel"].get("interval", 0)
+
+
+class TestCrossRunAutoResidency:
+    """``auto`` keeps the in-process kernel once every run's columns are resident."""
+
+    @pytest.fixture(params=["single-file", "sharded"])
+    def any_store(self, request, tmp_path, labeled_runs):
+        if request.param == "single-file":
+            opened = ProvenanceStore(tmp_path / "auto.db")
+            for item in labeled_runs:
+                opened.add_labeled_run(item)
+        else:
+            opened = ShardedProvenanceStore(tmp_path / "auto-sharded", 3)
+            opened.add_labeled_runs(labeled_runs)
+        with opened:
+            yield opened
+
+    @staticmethod
+    def _anchor(labeled_runs) -> tuple:
+        vertex = labeled_runs[0].run.vertices()[0]
+        return (vertex.module, vertex.instance)
+
+    def test_cold_sql_warm_kernel_then_sql_after_a_write(
+        self, any_store, spec, labeled_runs
+    ):
+        store = any_store
+        session = ProvenanceSession(store)
+        anchor = self._anchor(labeled_runs)
+        run_ids = [row["run_id"] for row in store.list_runs(spec.name)]
+        assert not store.label_columns_resident(run_ids)
+
+        cold = session.run(CrossRunQuery(spec.name, anchor))
+        assert _interval_paths(store) == (1, 0)
+
+        # a cross-run batch reads (and so caches) every run's columns
+        session.run(CrossRunBatchQuery(spec.name, [(anchor, anchor)]))
+        assert store.label_columns_resident(run_ids)
+        warm = session.run(CrossRunQuery(spec.name, anchor))
+        assert _interval_paths(store) == (1, 1)
+        assert warm.per_run == cold.per_run
+
+        extra = SkeletonLabeler(spec, "interval").label_run(
+            generate_run_with_size(spec, 60, seed=11, name="run-extra").run
+        )
+        store.add_labeled_run(extra)
+        assert not store.label_columns_resident(
+            [row["run_id"] for row in store.list_runs(spec.name)]
+        )
+        after = session.run(CrossRunQuery(spec.name, anchor))
+        assert _interval_paths(store) == (2, 1)
+        assert {k: v for k, v in after.per_run.items() if k in cold.per_run} == (
+            cold.per_run
+        )
+
+    def test_always_and_never_ignore_residency(self, any_store, spec, labeled_runs):
+        store = any_store
+        session = ProvenanceSession(store)
+        anchor = self._anchor(labeled_runs)
+        session.run(CrossRunQuery(spec.name, anchor, pushdown="never"))
+        assert _interval_paths(store) == (0, 1)
+        session.run(CrossRunQuery(spec.name, anchor, pushdown="always"))
+        assert _interval_paths(store) == (1, 1)
+
+    def test_pool_workers_keep_the_pushdown(self, any_store, spec, labeled_runs):
+        # pool workers read over private connections, never the resident
+        # columns, so warm columns are no reason to skip the SQL path there
+        store = any_store
+        session = ProvenanceSession(store)
+        anchor = self._anchor(labeled_runs)
+        session.run(CrossRunQuery(spec.name, anchor, pushdown="never"))
+        session.run(CrossRunQuery(spec.name, anchor, workers=2))
+        assert _interval_paths(store) == (1, 1)
+
+    def test_residency_probe_counts_no_hits_or_misses(self, any_store, spec):
+        store = any_store
+        run_ids = [row["run_id"] for row in store.list_runs(spec.name)]
+        before = store.cache_stats()["label_columns"]
+        assert not store.label_columns_resident(run_ids)
+        store.run_label_arrays_many(run_ids)
+        filled = store.cache_stats()["label_columns"]
+        assert store.label_columns_resident(run_ids)
+        assert store.cache_stats()["label_columns"] == filled
+        assert filled["misses"] == before["misses"] + len(run_ids)
+
+    def test_another_connections_commit_makes_columns_cold(
+        self, tmp_path, spec, labeled_runs
+    ):
+        path = tmp_path / "external.db"
+        with ProvenanceStore(path) as opened:
+            for item in labeled_runs:
+                opened.add_labeled_run(item)
+            run_ids = [row["run_id"] for row in opened.list_runs(spec.name)]
+            opened.run_label_arrays_many(run_ids)
+            assert opened.label_columns_resident(run_ids)
+            other = sqlite3.connect(path)
+            try:
+                with other:
+                    other.execute(
+                        "UPDATE run_labels SET q1 = q1 WHERE run_id = ?", (run_ids[0],)
+                    )
+            finally:
+                other.close()
+            assert not opened.label_columns_resident(run_ids)
+            ProvenanceSession(opened).run(
+                CrossRunQuery(spec.name, self._anchor(labeled_runs))
+            )
+            assert _interval_paths(opened) == (1, 0)
 
 
 class TestExplainQueryPlan:
