@@ -67,7 +67,7 @@ from repro.engine.kernels import (
     dense_pair_answers,
     dense_sweep_answers,
 )
-from repro.engine.pool import PersistentWorkerPool
+from repro.engine.pool import PersistentWorkerPool, process_pool_context
 from repro.exceptions import QueryPlanError, WorkerCrashError
 from repro.faults import fault_point
 
@@ -758,7 +758,9 @@ class CrossRunExecutor:
             if pool is not None:
                 drain(pool.submit, self._submit_chunks(pool.submit, chunk_tasks))
             else:
-                with ProcessPoolExecutor(max_workers=workers) as ephemeral:
+                with ProcessPoolExecutor(
+                    max_workers=workers, mp_context=process_pool_context()
+                ) as ephemeral:
                     drain(
                         ephemeral.submit,
                         self._submit_chunks(ephemeral.submit, chunk_tasks),
@@ -882,10 +884,14 @@ class CrossRunExecutor:
             for record in self._submit_chunks(pool.submit, chunk_tasks):
                 outcomes.update(dict(self._settle(pool.submit, *record)))
         else:
-            executor_cls = (
-                ProcessPoolExecutor if self.mode == "process" else ThreadPoolExecutor
+            executor = (
+                ProcessPoolExecutor(
+                    max_workers=workers, mp_context=process_pool_context()
+                )
+                if self.mode == "process"
+                else ThreadPoolExecutor(max_workers=workers)
             )
-            with executor_cls(max_workers=workers) as ephemeral:
+            with executor as ephemeral:
                 for record in self._submit_chunks(ephemeral.submit, chunk_tasks):
                     outcomes.update(dict(self._settle(ephemeral.submit, *record)))
         return self._split_outcomes(run_ids, outcomes)

@@ -31,10 +31,13 @@ explicitly closeable** pool that lives as long as its owner (a
 Thread pools are the default (sqlite3 and numpy release the GIL on the
 hot paths); ``mode="process"`` builds a process pool for the executor's
 ``REPRO_PARALLEL=process`` path.  One owner can hold one pool per mode.
+Every process pool starts its workers from :func:`process_pool_context`,
+never by a bare ``fork``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import warnings
 import weakref
@@ -48,12 +51,46 @@ from typing import Any, Callable, Optional
 
 from repro.faults import fault_point
 
-__all__ = ["PersistentWorkerPool", "WorkerPoolOwner", "DEFAULT_POOL_WORKERS"]
+__all__ = [
+    "PersistentWorkerPool",
+    "WorkerPoolOwner",
+    "DEFAULT_POOL_WORKERS",
+    "process_pool_context",
+]
 
 #: pool size when the owner does not pin one; matches the executor's
 #: MAX_AUTO_WORKERS cap so a store-owned pool never undersizes a
 #: replica-fanned cross-run execution
 DEFAULT_POOL_WORKERS = 8
+
+
+def process_pool_context():
+    """The start method of every ``ProcessPoolExecutor`` in the library.
+
+    ``forkserver`` where the platform has it, else ``spawn``.  A plain
+    ``fork`` copies the parent mid-flight: a worker forked while another
+    thread holds a SQLite lock (a shard commit, a reader's statement)
+    inherits that lock with no thread left to release it, and hangs.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    # The server imports everything a worker needs once (the task modules,
+    # and the multiprocessing parts a worker loads to unpickle its process
+    # object) and every worker forks from it, so a fresh pool starts about
+    # as fast as with a plain fork instead of each worker re-importing
+    # numpy, the engine and the store.  Takes effect when the (single,
+    # process-wide) server starts; '__main__' is the stdlib default.
+    context.set_forkserver_preload(
+        [
+            "__main__",
+            "multiprocessing.popen_forkserver",
+            "multiprocessing.synchronize",
+            "repro.engine.parallel",
+            "repro.storage.store",
+        ]
+    )
+    return context
 
 
 def _reap_leaked_executor(executor: Executor, owner: str, mode: str) -> None:
@@ -144,7 +181,9 @@ class PersistentWorkerPool:
                 raise RuntimeError("cannot submit to a closed PersistentWorkerPool")
             if self._executor is None:
                 if self.mode == "process":
-                    self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.workers, mp_context=process_pool_context()
+                    )
                 else:
                     self._executor = ThreadPoolExecutor(
                         max_workers=self.workers,

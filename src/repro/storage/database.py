@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
+import sys
+from array import array
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Union
 
@@ -19,6 +23,9 @@ from repro.storage.schema import (
 __all__ = [
     "connect",
     "initialize_schema",
+    "CANONICAL_VERTEX_ORDER",
+    "pack_edge_positions",
+    "unpack_edge_positions",
     "LABEL_FETCH_CHUNK",
     "SQLITE_MAX_VARIABLE_NUMBER",
     "row_value_chunk",
@@ -35,6 +42,16 @@ LABEL_FETCH_CHUNK = 400
 #: host-parameter limit a deployed SQLite is likely to enforce (3.32 raised
 #: the default to 32766, but binaries built with the old limit are common)
 SQLITE_MAX_VARIABLE_NUMBER = 999
+
+#: the store's canonical handle order of one run's ``run_labels`` rows:
+#: persisted interner ids first (for rows written since schema v2 a run's
+#: ids are ``0 .. n-1``, so a row's position *is* its ``vertex_id``), then
+#: legacy ``NULL``-id rows by ``(module, instance)``
+CANONICAL_VERTEX_ORDER = "ORDER BY (vertex_id IS NULL), vertex_id, module, instance"
+
+#: ``array`` typecode of the packed edge blobs in ``runs.document`` (a C
+#: ``int``: 4 bytes on every supported platform)
+EDGE_TYPECODE = "i"
 
 
 def row_value_chunk(columns_per_row: int = 2, reserved: int = 1) -> int:
@@ -80,6 +97,26 @@ def iter_value_chunks(values, *, columns_per_row: int = 1, reserved: int = 0):
     for start in range(0, len(values), chunk_size):
         chunk = values[start : start + chunk_size]
         yield chunk, ", ".join([template] * len(chunk))
+
+
+def pack_edge_positions(positions: Iterable[int]) -> bytes:
+    """Pack flattened ``(tail, head)`` vertex positions as a run-edge blob.
+
+    The ``runs.document`` format since schema v5: little-endian int32
+    pairs, each value a vertex's position in :data:`CANONICAL_VERTEX_ORDER`.
+    """
+    packed = array(EDGE_TYPECODE, positions)
+    if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def unpack_edge_positions(blob: bytes) -> array:
+    """The flattened ``(tail, head)`` positions of a run-edge blob."""
+    positions = array(EDGE_TYPECODE, blob)
+    if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+        positions.byteswap()
+    return positions
 
 
 def connect(
@@ -132,7 +169,10 @@ def initialize_schema(connection: sqlite3.Connection) -> None:
     columns added since (see :data:`~repro.storage.schema.SCHEMA_MIGRATIONS`)
     are ``ALTER TABLE``-ed on, with ``NULL`` for pre-existing rows, and
     indexes retired since (:data:`~repro.storage.schema.SCHEMA_DROPPED_INDEXES`)
-    are dropped.
+    are dropped.  Run graphs stored as JSON documents (schema v4 and
+    earlier) are re-encoded as packed edge blobs (schema v5); the
+    conversion and the version stamp commit in one transaction, so a
+    failed conversion leaves every document and the stamp as they were.
     """
     try:
         with connection:
@@ -153,9 +193,63 @@ def initialize_schema(connection: sqlite3.Connection) -> None:
                 connection.execute(statement)
             for name in SCHEMA_DROPPED_INDEXES:
                 connection.execute(f"DROP INDEX IF EXISTS {name}")
+            _pack_legacy_run_documents(connection)
             connection.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
     except sqlite3.Error as exc:
         raise StorageError(f"could not initialize provenance schema: {exc}") from exc
+
+
+def _pack_legacy_run_documents(connection: sqlite3.Connection) -> None:
+    """Schema v5: convert every JSON run document to a packed edge blob.
+
+    Edges are mapped through the run's :data:`CANONICAL_VERTEX_ORDER`, the
+    same positions the write path packs, so a converted run reads back
+    through the one blob decoder.  Only ``text`` documents are touched,
+    which makes the upgrade idempotent; a document whose vertices or edges
+    disagree with the run's label rows raises
+    :class:`~repro.exceptions.StorageError` naming the run.
+    """
+    legacy = connection.execute(
+        "SELECT run_id FROM runs WHERE typeof(document) = 'text' ORDER BY run_id"
+    ).fetchall()
+    for (run_id,) in legacy:
+        document, n_edges = connection.execute(
+            "SELECT document, n_edges FROM runs WHERE run_id = ?", (run_id,)
+        ).fetchone()
+        position_of = {
+            (module, instance): position
+            for position, (module, instance) in enumerate(
+                connection.execute(
+                    "SELECT module, instance FROM run_labels WHERE run_id = ? "
+                    + CANONICAL_VERTEX_ORDER,
+                    (run_id,),
+                )
+            )
+        }
+        try:
+            payload = json.loads(document)
+            vertices = {(module, int(instance)) for module, instance in payload["vertices"]}
+            positions = [
+                position_of[(module, int(instance))]
+                for edge in payload["edges"]
+                for module, instance in edge
+            ]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StorageError(
+                f"run {run_id}: cannot convert its JSON document to an edge "
+                f"blob ({exc!r})"
+            ) from exc
+        if vertices != position_of.keys() or len(positions) != 2 * n_edges:
+            raise StorageError(
+                f"run {run_id}: its JSON document names {len(vertices)} "
+                f"vertices and {len(positions) // 2} edges, but the store holds "
+                f"{len(position_of)} labeled vertices and {n_edges} edges"
+            )
+        connection.execute(
+            "UPDATE runs SET document = ? "
+            "WHERE run_id = ? AND typeof(document) = 'text'",
+            (pack_edge_positions(positions), run_id),
+        )

@@ -4,7 +4,12 @@ The store keeps specifications, runs, run labels and data items in a single
 SQLite database so that provenance queries can be answered long after the
 workflow engine produced the run — the deployment scenario that motivates the
 paper (labels are computed once at registration time and then compared at
-query time without touching the graph).
+query time without touching the graph).  A run's graph is therefore kept
+compact: ``runs.document`` holds its edges as a packed blob of
+little-endian int32 ``(tail, head)`` vertex positions (schema v5, see
+:func:`~repro.storage.database.pack_edge_positions`); the vertices
+themselves are the run's ``run_labels`` rows.  The column keeps its
+``TEXT`` declaration — SQLite stores a BLOB under TEXT affinity as is.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 SCHEMA_STATEMENTS: tuple[str, ...] = (
     """

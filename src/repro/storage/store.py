@@ -36,6 +36,7 @@ import sqlite3
 import warnings
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -43,6 +44,7 @@ from repro.engine.kernels import ModuleTable, SpecKernel, compile_spec_kernel
 from repro.engine.pool import WorkerPoolOwner
 from repro.engine.query import QueryEngine
 from repro.exceptions import StorageError
+from repro.graphs.digraph import DiGraph
 from repro.labeling.base import VertexHandleAPI
 from repro.labeling.registry import get_scheme
 from repro.provenance.data import DataFlow
@@ -58,18 +60,19 @@ from repro.storage.columns import (
     load_label_arrays,
 )
 from repro.storage.database import (
+    CANONICAL_VERTEX_ORDER,
     LABEL_FETCH_CHUNK,
     SQLITE_MAX_VARIABLE_NUMBER,
     connect,
     initialize_schema,
     iter_value_chunks,
+    pack_edge_positions,
     row_value_chunk,
+    unpack_edge_positions,
 )
 from repro.storage.pushdown import pushdown_sweep, reachable_modules, scheme_supports_pushdown
 from repro.workflow.run import RunVertex, WorkflowRun
 from repro.workflow.serialization import (
-    run_from_json,
-    run_to_json,
     specification_from_json,
     specification_to_json,
 )
@@ -85,6 +88,7 @@ __all__ = [
     "load_label_arrays",
     "insert_specification",
     "insert_labeled_run",
+    "pack_run_edges",
     "warn_deprecated_query",
 ]
 
@@ -95,6 +99,19 @@ PathLike = Union[str, Path]
 #: and kernel are rebuilt from SQL on the next query), bounding store memory
 #: on workloads that sweep across many runs
 STORED_RUN_CACHE_LIMIT = 16
+
+
+def pack_run_edges(run: WorkflowRun, position_of: dict) -> bytes:
+    """*run*'s edges as the packed ``runs.document`` blob.
+
+    *position_of* maps each run vertex to its position in the store's
+    canonical handle order — the labeled run's ``interner.id_map`` on
+    insert, since the persisted ``vertex_id`` *is* that position.  One
+    C-level pass over the edges, no per-edge Python work.
+    """
+    return pack_edge_positions(
+        map(position_of.__getitem__, chain.from_iterable(run.graph.iter_edges()))
+    )
 
 
 def insert_specification(
@@ -156,7 +173,7 @@ def insert_labeled_run(
             run_id,
             spec_id,
             run.name,
-            run_to_json(run),
+            pack_run_edges(run, labeled.interner.id_map),
             run.vertex_count,
             run.edge_count,
             scheme,
@@ -353,7 +370,7 @@ class ProvenanceStore(WorkerPoolOwner):
         in-memory run graph was mutated and relabeled, the store replays
         only the **changed** rows as targeted ``UPDATE`` statements —
         subtree-local repairs touch a handful of rows, not the whole run.
-        The run's graph document and edge count are refreshed alongside, so
+        The run's edge blob and edge count are refreshed alongside, so
         a cold reopen rebuilds exactly the repaired state.  The execution
         set must be identical to the stored one (dynamic updates are
         edge-only surgery); anything else raises
@@ -370,6 +387,8 @@ class ProvenanceStore(WorkerPoolOwner):
                 f"run {run_id} was labeled under scheme {stored_scheme!r}; "
                 f"cannot update it with {scheme!r} labels"
             )
+        # stored labels in canonical handle order: a key's position in
+        # this dict is the vertex position the edge blob refers to
         stored = {
             (r["module"], int(r["instance"])): (
                 int(r["q1"]),
@@ -378,7 +397,7 @@ class ProvenanceStore(WorkerPoolOwner):
             )
             for r in self._connection.execute(
                 "SELECT module, instance, q1, q2, q3 FROM run_labels "
-                "WHERE run_id = ?",
+                "WHERE run_id = ? " + CANONICAL_VERTEX_ORDER,
                 (run_id,),
             )
         }
@@ -406,7 +425,12 @@ class ProvenanceStore(WorkerPoolOwner):
             self._connection.execute(
                 "UPDATE runs SET document = ?, n_vertices = ?, n_edges = ? "
                 "WHERE run_id = ?",
-                (run_to_json(run), run.vertex_count, run.edge_count, run_id),
+                (
+                    pack_run_edges(run, {key: i for i, key in enumerate(stored)}),
+                    run.vertex_count,
+                    run.edge_count,
+                    run_id,
+                ),
             )
         # the cached label view, its compiled engine and its label columns
         # describe the pre-update run; drop them so the next query reloads
@@ -416,10 +440,46 @@ class ProvenanceStore(WorkerPoolOwner):
         return len(changed)
 
     def get_run(self, run_id: int) -> WorkflowRun:
-        """Load the run graph with identifier *run_id*."""
-        row = self._run_row(run_id)
+        """Load the run graph with identifier *run_id*.
+
+        Vertices are the run's label rows in canonical handle order, edges
+        the packed blob in stored order — for a run written since schema v2
+        the same vertex and edge order as the in-memory run that was
+        stored.  A blob whose length or positions disagree with the label
+        rows raises :class:`~repro.exceptions.StorageError`.
+        """
+        self._require_open()
+        row = self._connection.execute(
+            "SELECT spec_id, name, document, n_edges FROM runs WHERE run_id = ?",
+            (run_id,),
+        ).fetchone()
+        if row is None:
+            raise StorageError(f"no run with id {run_id}")
         spec = self._load_specification(int(row["spec_id"]))
-        return run_from_json(row["document"], spec)
+        vertices = list(
+            map(
+                RunVertex._make,
+                self._connection.execute(
+                    "SELECT module, instance FROM run_labels WHERE run_id = ? "
+                    + CANONICAL_VERTEX_ORDER,
+                    (run_id,),
+                ),
+            )
+        )
+        blob = row["document"]
+        if not isinstance(blob, bytes) or len(blob) != 8 * int(row["n_edges"]):
+            raise StorageError(
+                f"run {run_id}: edge blob does not hold {row['n_edges']} packed edges"
+            )
+        positions = unpack_edge_positions(blob)
+        if positions and not 0 <= min(positions) <= max(positions) < len(vertices):
+            raise StorageError(
+                f"run {run_id}: edge blob names a vertex outside its "
+                f"{len(vertices)} labeled vertices"
+            )
+        endpoints = map(vertices.__getitem__, positions)
+        graph = DiGraph(vertices, zip(endpoints, endpoints))
+        return WorkflowRun(spec, graph, name=row["name"])
 
     def list_runs(self, specification: Optional[str] = None) -> list[dict]:
         """Return summaries of stored runs, optionally filtered by specification name."""
@@ -440,8 +500,10 @@ class ProvenanceStore(WorkerPoolOwner):
 
     def _run_row(self, run_id: int) -> sqlite3.Row:
         self._require_open()
+        # metadata only: the edge blob is read by get_run alone
         row = self._connection.execute(
-            "SELECT * FROM runs WHERE run_id = ?", (run_id,)
+            "SELECT spec_id, n_vertices, spec_scheme FROM runs WHERE run_id = ?",
+            (run_id,),
         ).fetchone()
         if row is None:
             raise StorageError(f"no run with id {run_id}")

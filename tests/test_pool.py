@@ -13,7 +13,11 @@ import pytest
 
 from repro.api import CrossRunQuery, ProvenanceSession
 from repro.engine.parallel import CrossRunExecutor
-from repro.engine.pool import DEFAULT_POOL_WORKERS, PersistentWorkerPool
+from repro.engine.pool import (
+    DEFAULT_POOL_WORKERS,
+    PersistentWorkerPool,
+    process_pool_context,
+)
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.sharded import ShardedProvenanceStore
 from repro.storage.store import ProvenanceStore
@@ -48,6 +52,15 @@ class TestPersistentWorkerPool:
         with PersistentWorkerPool() as pool:
             assert pool.submit(sum, (1, 2, 3)).result() == 6
         assert pool.closed
+
+    def test_process_workers_are_never_plain_forks(self):
+        # a worker forked while another thread holds a SQLite lock inherits
+        # the lock and hangs; workers start from forkserver (else spawn)
+        assert process_pool_context().get_start_method() in ("forkserver", "spawn")
+        with PersistentWorkerPool(mode="process", workers=1) as pool:
+            assert pool.submit(sum, (1, 2)).result() == 3
+            method = pool._executor._mp_context.get_start_method()
+        assert method == process_pool_context().get_start_method()
 
     def test_validation(self):
         with pytest.raises(ValueError):
